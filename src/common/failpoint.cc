@@ -24,6 +24,9 @@ const char* const kFaultPointNames[] = {
     "chaos.skip_closure_invalidation",  // behavior perturbation, not a
                                  // failure: AddSupertype keeps the stale
                                  // subtype closure (tests/fuzz known-bad run)
+    "chaos.verify_before_key_only",  // behavior perturbation: the dispatch
+                                 // verifier keys argument-type classes on
+                                 // the before-CPL alone (known-bad run)
     "collapse.before",           // CollapseEmptySurrogates entry
     "collapse.mid",              // after a surrogate was spliced out
     "factor_methods.before",     // FactorMethods entry

@@ -1,13 +1,11 @@
 #include "core/verify.h"
 
-#include <algorithm>
 #include <set>
 
 #include "common/failpoint.h"
+#include "core/dispatch_preservation.h"
 #include "methods/applicability.h"
-#include "methods/precedence.h"
 #include "mir/type_check.h"
-#include "obs/obs.h"
 
 namespace tyder {
 
@@ -68,47 +66,6 @@ void CheckDerivedType(const Schema& after, const DerivationResult& result,
 }
 
 }  // namespace
-
-void CheckDispatchPreserved(const Schema& before, const Schema& after,
-                            std::vector<std::string>* issues) {
-  size_t n = before.types().NumTypes();
-  for (GfId g = 0; g < before.NumGenericFunctions(); ++g) {
-    const GenericFunction& gf = before.gf(g);
-    auto compare = [&](const std::vector<TypeId>& args) {
-      // An exhaustive sweep over (gf, type tuple) space: every probe is a
-      // distinct call site, so going through Dispatch() would pay the
-      // call-site cache (lookup + insert) and NotFound-string machinery
-      // ~types^arity times for zero reuse. Compare the specificity order
-      // directly — the dispatch outcome is its front (or NotFound if empty).
-      TYDER_COUNT("verify.dispatch_probes");
-      std::vector<MethodId> pre = SortBySpecificity(before, g, args);
-      std::vector<MethodId> post = SortBySpecificity(after, g, args);
-      bool same = pre.empty() == post.empty() &&
-                  (pre.empty() || pre.front() == post.front());
-      if (!same) {
-        std::string call = gf.name.str() + "(";
-        for (size_t i = 0; i < args.size(); ++i) {
-          if (i > 0) call += ", ";
-          call += before.types().TypeName(args[i]);
-        }
-        call += ")";
-        issues->push_back("dispatch of " + call + " changed");
-      }
-    };
-    if (gf.arity == 1) {
-      for (TypeId t = 0; t < n; ++t) compare({t});
-    } else if (gf.arity == 2) {
-      for (TypeId t1 = 0; t1 < n; ++t1) {
-        for (TypeId t2 = 0; t2 < n; ++t2) compare({t1, t2});
-      }
-    } else {
-      // Higher arities: diagonal plus pairwise-with-first-type sample.
-      for (TypeId t = 0; t < n; ++t) {
-        compare(std::vector<TypeId>(static_cast<size_t>(gf.arity), t));
-      }
-    }
-  }
-}
 
 std::string VerifyReport::ToString() const {
   if (ok()) return "OK";

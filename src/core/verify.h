@@ -8,7 +8,8 @@
 //   - static type-correctness of every (rewritten) method body;
 //   - cumulative state of every pre-existing type unchanged;
 //   - dispatch unchanged: every generic-function call over pre-existing
-//     argument types selects the same method as before;
+//     argument types selects the same method as before
+//     (core/dispatch_preservation.h);
 //   - the derived type's state is exactly the projection list, and its
 //     behavior is exactly the Applicable set.
 
@@ -33,12 +34,6 @@ struct VerifyReport {
 // `before` is a snapshot taken just before DeriveProjection mutated `after`.
 VerifyReport VerifyDerivation(const Schema& before, const Schema& after,
                               const DerivationResult& result);
-
-// The dispatch-preservation check alone (also used by benches): every call
-// m(t1, …, tn) over types that exist in `before` dispatches identically in
-// `after`. Exhaustive for arities ≤ 2 over all pre-existing types.
-void CheckDispatchPreserved(const Schema& before, const Schema& after,
-                            std::vector<std::string>* issues);
 
 }  // namespace tyder
 

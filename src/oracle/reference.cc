@@ -136,4 +136,33 @@ Result<MethodId> RefDispatch(const Schema& schema, GfId gf,
   return order.front();
 }
 
+std::vector<std::string> RefDispatchChanges(const Schema& before,
+                                            const Schema& after) {
+  std::vector<std::string> changes;
+  const size_t n = before.types().NumTypes();
+  for (GfId gf = 0; gf < before.NumGenericFunctions(); ++gf) {
+    const size_t arity = static_cast<size_t>(before.gf(gf).arity);
+    if (n == 0 && arity > 0) continue;
+    std::vector<TypeId> args(arity, 0);
+    for (bool more = true; more;) {
+      Result<MethodId> pre = RefDispatch(before, gf, args);
+      Result<MethodId> post = RefDispatch(after, gf, args);
+      if (pre.ok() != post.ok() || (pre.ok() && *pre != *post)) {
+        std::string call = before.gf(gf).name.str() + "(";
+        for (size_t i = 0; i < arity; ++i) {
+          if (i > 0) call += ", ";
+          call += before.types().TypeName(args[i]);
+        }
+        changes.push_back("dispatch of " + call + ") changed");
+      }
+      more = false;
+      for (size_t i = arity; i-- > 0 && !more;) {
+        more = ++args[i] < n;
+        if (!more) args[i] = 0;
+      }
+    }
+  }
+  return changes;
+}
+
 }  // namespace tyder::oracle

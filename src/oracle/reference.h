@@ -14,6 +14,7 @@
 #ifndef TYDER_ORACLE_REFERENCE_H_
 #define TYDER_ORACLE_REFERENCE_H_
 
+#include <string>
 #include <vector>
 
 #include "common/result.h"
@@ -65,6 +66,16 @@ std::vector<MethodId> RefDispatchOrder(const Schema& schema, GfId gf,
 // The method the call dispatches to; NotFound when no method applies.
 Result<MethodId> RefDispatch(const Schema& schema, GfId gf,
                              const std::vector<TypeId>& arg_types);
+
+// Dispatch preservation by exhaustive sweep: for each generic function of
+// `before`, every tuple of `before`'s types, of any arity, in lexicographic
+// order, whose RefDispatch outcome (method or NotFound) differs in `after`,
+// reported as "dispatch of m(T1, ..., Tk) changed". The oracle for
+// CheckDispatchPreserved (core/dispatch_preservation.h), which must report
+// the same lines in the same order. |types|^arity RefDispatch pairs per
+// generic function: keep it to test-sized schemas.
+std::vector<std::string> RefDispatchChanges(const Schema& before,
+                                            const Schema& after);
 
 }  // namespace tyder::oracle
 

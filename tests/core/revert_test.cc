@@ -4,6 +4,7 @@
 
 #include "catalog/catalog.h"
 #include "catalog/serialize.h"
+#include "core/dispatch_preservation.h"
 #include "core/verify.h"
 #include "mir/printer.h"
 #include "objmodel/schema_printer.h"

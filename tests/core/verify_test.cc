@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/dispatch_preservation.h"
 #include "testing/fixtures.h"
 
 namespace tyder {

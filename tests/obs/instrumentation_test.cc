@@ -132,8 +132,8 @@ TEST(InstrumentationTest, DerivationBumpsPipelineCounters) {
   EXPECT_GT(m.CounterValue("dataflow.analyses"), 0u);
   EXPECT_GT(m.CounterValue("dataflow.fixpoint_iterations"), 0u);
   // The behavior-preservation verifier probes the dispatch outcome of every
-  // generic function over both schemas (without going through the call-site
-  // cache — each probe is a distinct call site).
+  // generic function over both schemas, once per tuple of argument-type
+  // classes (without going through the call-site cache).
   EXPECT_GT(m.CounterValue("verify.dispatch_probes"), 0u);
 }
 
