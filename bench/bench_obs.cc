@@ -83,8 +83,8 @@ void BM_ObsDerivation(benchmark::State& state) {
 }
 BENCHMARK(BM_ObsDerivation);
 
-// Transaction snapshot + rollback: the rollback path crosses TYDER_COUNT,
-// TYDER_TIMED, a flight-recorder append and a narration call.
+// Transaction clone + drop: the clone crosses TYDER_COUNT and TYDER_TIMED,
+// the drop a counter, a flight-recorder append and a narration call.
 void BM_ObsTransactionRollback(benchmark::State& state) {
   auto schema = BuildTreeSchema(4);
   if (!schema.ok()) {
@@ -92,7 +92,7 @@ void BM_ObsTransactionRollback(benchmark::State& state) {
     return;
   }
   for (auto _ : state) {
-    SchemaTransaction txn(*schema);  // no Commit: dtor rolls back
+    SchemaTransaction txn(*schema);  // no Commit: dtor drops the draft
     benchmark::DoNotOptimize(&txn);
   }
 }

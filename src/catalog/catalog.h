@@ -15,6 +15,7 @@
 #include "core/algebra.h"
 #include "core/collapse.h"
 #include "core/projection.h"
+#include "core/transaction.h"
 #include "methods/schema.h"
 
 namespace tyder {
@@ -34,11 +35,11 @@ struct ViewDef {
 };
 
 // All-or-nothing guarantee: every mutating Catalog operation (the four
-// Define*View methods, DropView, and Collapse) runs inside a
-// SchemaTransaction (core/transaction.h). On any non-OK return the schema is
-// rolled back to its pre-call state — serializing byte-identically to it —
-// and `views()` is untouched; on OK the schema mutation and the registry
-// update land together.
+// Define*View methods, DropView, and Collapse) runs on a CatalogDraft — one
+// clone of the catalog (core/transaction.h). On any non-OK return the draft
+// is dropped, so the schema serializes byte-identically to its pre-call state
+// and `views()` is untouched; on OK the draft is moved in, so the schema
+// mutation and the registry update land together.
 class Catalog {
  public:
   static Result<Catalog> Create();
@@ -93,9 +94,47 @@ class Catalog {
   size_t LiveSurrogateCount() const;
 
  private:
+  friend class CatalogDraft;
   Catalog() = default;
 
   Schema schema_;
+  std::vector<ViewDef> views_;
+};
+
+// One catalog mutation by clone-and-swap. The constructor clones `source`
+// once; the operations (same contracts as Catalog's) apply in place to that
+// clone and verify against `source`, which must stay unmodified for the
+// draft's lifetime. A failed operation leaves the draft half-mutated: drop
+// it. Commit() moves the mutated catalog out, never copying it — Catalog
+// moves it back over `source`, DurableCatalog publishes it as its new tip.
+// The returned ViewDef pointers stay valid across Commit().
+class CatalogDraft {
+ public:
+  explicit CatalogDraft(const Catalog& source);
+
+  Result<const ViewDef*> DefineProjectionView(
+      std::string_view name, std::string_view source_type,
+      const std::vector<std::string>& attribute_names,
+      const ProjectionOptions& options = {});
+  Result<const ViewDef*> DefineSelectionView(std::string_view name,
+                                             std::string_view source_type);
+  Result<const ViewDef*> DefineGeneralizationView(
+      std::string_view name, std::string_view type_a, std::string_view type_b,
+      const ProjectionOptions& options = {});
+  Result<const ViewDef*> DefineRenameView(
+      std::string_view name, std::string_view source_type,
+      const std::vector<AttributeRename>& renames,
+      const ProjectionOptions& options = {});
+  Status DropView(std::string_view name);
+  Result<CollapseReport> Collapse();
+
+  Catalog Commit();
+
+ private:
+  Status CheckNewView(std::string_view name) const;
+  const ViewDef* AddView(ViewDef def);
+
+  SchemaTransaction txn_;
   std::vector<ViewDef> views_;
 };
 

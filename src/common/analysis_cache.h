@@ -6,12 +6,13 @@
 // and rebuilds it otherwise, so invalidation is automatic: any schema
 // mutation bumps the version and the next reader rebuilds.
 //
-// Slots are embedded `mutable` in value types (Schema) that are copied for
-// snapshots, so copy/move semantics deliberately do NOT transfer the cache:
-// a copy starts cold, and assigning over a slot drops whatever it held
-// (the content it described has just been replaced). This is what makes
-// SchemaTransaction rollback — a whole-schema copy-assign — implicitly
-// invalidate every derived structure.
+// Slots are embedded `mutable` in value types (Schema) that are cloned for
+// every mutation, so copy/move semantics deliberately do NOT transfer the
+// cache: a copy starts cold, and assigning over a slot drops whatever it
+// held (the content it described has just been replaced). This is what
+// makes SchemaTransaction's clone-and-swap — mutate a clone, then move it
+// over the original — implicitly invalidate every derived structure, while
+// the untouched original keeps the caches its readers built.
 //
 // Thread-safety: the slot itself is mutex-guarded, so concurrent readers of
 // a structurally frozen schema may GetOrBuild() from many threads; the first

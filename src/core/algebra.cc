@@ -25,10 +25,11 @@ std::vector<AttrId> CommonAttributes(const Schema& schema, TypeId a, TypeId b) {
   return out;
 }
 
-Result<DerivationResult> DeriveGeneralization(Schema& schema, TypeId a,
+Result<DerivationResult> DeriveGeneralization(SchemaTransaction& txn, TypeId a,
                                               TypeId b,
                                               std::string_view view_name,
                                               const ProjectionOptions& options) {
+  const Schema& schema = txn.draft();
   std::vector<AttrId> common = CommonAttributes(schema, a, b);
   if (common.empty()) {
     return Status::FailedPrecondition(
@@ -39,12 +40,14 @@ Result<DerivationResult> DeriveGeneralization(Schema& schema, TypeId a,
   spec.source = a;
   spec.attributes = common;
   spec.view_name = std::string(view_name);
-  return DeriveProjection(schema, spec, options);
+  return DeriveProjection(txn, spec, options);
 }
 
 Result<DerivationResult> DeriveRenameView(
-    Schema& schema, TypeId source, const std::vector<AttributeRename>& renames,
-    std::string_view view_name, const ProjectionOptions& options) {
+    SchemaTransaction& txn, TypeId source,
+    const std::vector<AttributeRename>& renames, std::string_view view_name,
+    const ProjectionOptions& options) {
+  Schema& schema = txn.draft();
   if (renames.empty()) {
     return Status::InvalidArgument("rename view needs at least one alias");
   }
@@ -74,7 +77,7 @@ Result<DerivationResult> DeriveRenameView(
   spec.attributes = schema.types().CumulativeAttributes(source);
   spec.view_name = std::string(view_name);
   TYDER_ASSIGN_OR_RETURN(DerivationResult result,
-                         DeriveProjection(schema, spec, options));
+                         DeriveProjection(txn, spec, options));
   for (const auto& [attr, alias] : resolved) {
     TYDER_RETURN_IF_ERROR(
         GenerateAliasReader(schema, attr, alias, result.derived).status());

@@ -33,10 +33,18 @@ Result<TypeId> DeriveSelection(Schema& schema, TypeId source,
 std::vector<AttrId> CommonAttributes(const Schema& schema, TypeId a, TypeId b);
 
 // Derives the generalization of `a` and `b`: Π_{CommonAttributes}(a). Fails
-// if the common attribute set is empty.
+// if the common attribute set is empty. The overloads follow
+// DeriveProjection's: a step of `txn`, or all-or-nothing on `schema`.
 Result<DerivationResult> DeriveGeneralization(
-    Schema& schema, TypeId a, TypeId b, std::string_view view_name,
+    SchemaTransaction& txn, TypeId a, TypeId b, std::string_view view_name,
     const ProjectionOptions& options = {});
+inline Result<DerivationResult> DeriveGeneralization(
+    Schema& schema, TypeId a, TypeId b, std::string_view view_name,
+    const ProjectionOptions& options = {}) {
+  return CloneAndSwap(schema, [&](SchemaTransaction& txn) {
+    return DeriveGeneralization(txn, a, b, view_name, options);
+  });
+}
 
 // Rename (ρ): a view over the full state of `source` whose listed attributes
 // are additionally exposed under alias accessors (`get_<alias>` /
@@ -47,9 +55,19 @@ struct AttributeRename {
   std::string attribute;  // existing attribute name
   std::string alias;      // new public name
 };
+// The overloads follow DeriveProjection's; a failed alias unwinds the
+// projection too.
 Result<DerivationResult> DeriveRenameView(
+    SchemaTransaction& txn, TypeId source,
+    const std::vector<AttributeRename>& renames, std::string_view view_name,
+    const ProjectionOptions& options = {});
+inline Result<DerivationResult> DeriveRenameView(
     Schema& schema, TypeId source, const std::vector<AttributeRename>& renames,
-    std::string_view view_name, const ProjectionOptions& options = {});
+    std::string_view view_name, const ProjectionOptions& options = {}) {
+  return CloneAndSwap(schema, [&](SchemaTransaction& txn) {
+    return DeriveRenameView(txn, source, renames, view_name, options);
+  });
+}
 
 }  // namespace tyder
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/failpoint.h"
-#include "core/transaction.h"
 #include "mir/expr.h"
 
 namespace tyder {
@@ -74,11 +73,9 @@ bool IsCollapsible(const Schema& schema, TypeId t,
   return CollapsibleWith(schema, t, keep, ReferencedTypes(schema));
 }
 
-Result<CollapseReport> CollapseEmptySurrogates(Schema& schema,
+Result<CollapseReport> CollapseEmptySurrogates(SchemaTransaction& txn,
                                                const std::set<TypeId>& keep) {
-  // All-or-nothing: a failure mid-fixpoint (or a final validation failure)
-  // rolls the schema back to its pre-call state.
-  SchemaTransaction txn(schema);
+  Schema& schema = txn.draft();
   TYDER_FAULT_POINT("collapse.before");
   CollapseReport report;
   // Referenced-type set is collapse-invariant (collapse edits only edges),
@@ -97,7 +94,6 @@ Result<CollapseReport> CollapseEmptySurrogates(Schema& schema,
     }
   }
   TYDER_RETURN_IF_ERROR(schema.Validate());
-  TYDER_RETURN_IF_ERROR(txn.Commit());
   return report;
 }
 

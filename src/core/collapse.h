@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "core/transaction.h"
 #include "methods/schema.h"
 
 namespace tyder {
@@ -31,11 +32,18 @@ struct CollapseReport {
 // `keep` are never collapsed (pass the derived view types the catalog still
 // exposes).
 //
-// All-or-nothing guarantee: runs inside a SchemaTransaction — on any non-OK
-// return the schema is rolled back to its pre-call state (no surrogate stays
-// half-spliced) and serializes byte-identically to it.
-Result<CollapseReport> CollapseEmptySurrogates(Schema& schema,
+// The SchemaTransaction overload collapses in place on the draft; the Schema
+// overload is all-or-nothing: on any non-OK return the schema is untouched
+// (no surrogate stays half-spliced) and serializes byte-identically to its
+// pre-call state.
+Result<CollapseReport> CollapseEmptySurrogates(SchemaTransaction& txn,
                                                const std::set<TypeId>& keep);
+inline Result<CollapseReport> CollapseEmptySurrogates(
+    Schema& schema, const std::set<TypeId>& keep) {
+  return CloneAndSwap(schema, [&](SchemaTransaction& txn) {
+    return CollapseEmptySurrogates(txn, keep);
+  });
+}
 
 // True iff `t` could be collapsed right now (exposed for tests/benches).
 bool IsCollapsible(const Schema& schema, TypeId t,

@@ -111,18 +111,4 @@ BatchDeriveReport DeriveBatch(Schema& schema,
   return report;
 }
 
-Result<ProjectionSpec> ResolveProjectionSpec(
-    const Schema& schema, std::string_view source_type,
-    const std::vector<std::string>& attribute_names,
-    std::string_view view_name) {
-  ProjectionSpec spec;
-  TYDER_ASSIGN_OR_RETURN(spec.source, schema.types().FindType(source_type));
-  for (const std::string& name : attribute_names) {
-    TYDER_ASSIGN_OR_RETURN(AttrId attr, schema.types().FindAttribute(name));
-    spec.attributes.push_back(attr);
-  }
-  spec.view_name = std::string(view_name);
-  return spec;
-}
-
 }  // namespace tyder

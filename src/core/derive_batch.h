@@ -58,13 +58,6 @@ BatchDeriveReport DeriveBatch(Schema& schema,
                               const std::vector<ProjectionSpec>& specs,
                               const BatchDeriveOptions& options = {});
 
-// Resolves a name-based projection request ("Person", {"name","age"}, "V")
-// against the schema. Fails with NotFound on unknown names.
-Result<ProjectionSpec> ResolveProjectionSpec(
-    const Schema& schema, std::string_view source_type,
-    const std::vector<std::string>& attribute_names,
-    std::string_view view_name);
-
 }  // namespace tyder
 
 #endif  // TYDER_CORE_DERIVE_BATCH_H_

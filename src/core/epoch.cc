@@ -156,7 +156,8 @@ EpochCatalog::~EpochCatalog() {
   }
 }
 
-void EpochCatalog::Publish(Catalog snapshot, uint64_t version) {
+void EpochCatalog::Publish(std::shared_ptr<const Catalog> snapshot,
+                           uint64_t version) {
   TYDER_SPAN("Epoch.Publish");
   std::lock_guard<std::mutex> lock(writer_mu_);
   Node* old = current_.load(std::memory_order_relaxed);

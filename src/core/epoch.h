@@ -3,7 +3,8 @@
 // frozen schema while writers commit.
 //
 // Model. Every committed transaction publishes an immutable Catalog snapshot
-// via a single atomic pointer swap (EpochCatalog::Publish). Readers pin the
+// via a single atomic pointer swap (EpochCatalog::Publish), which shares
+// ownership of the snapshot rather than copying it. Readers pin the
 // current snapshot with a wait-free guard (EpochCatalog::Pin): one epoch
 // load, one store into the thread's own cache-line-sized announce slot
 // (modeled on obs/sharded_counter.h's per-thread-slot design), one pointer
@@ -45,6 +46,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 
 #include "catalog/catalog.h"
@@ -91,7 +93,7 @@ class EpochCatalog {
   // commit leader publishes batches in order, but a Compact republish may
   // race a later batch). Retires the previous snapshot and opportunistically
   // reclaims whatever no reader can still observe.
-  void Publish(Catalog snapshot, uint64_t version);
+  void Publish(std::shared_ptr<const Catalog> snapshot, uint64_t version);
 
   // Version of the current published snapshot; 0 before the first Publish.
   uint64_t published_version() const {
@@ -122,10 +124,14 @@ class EpochCatalog {
 
     // nullptr iff nothing has been published yet.
     const Catalog* get() const {
-      return node_ != nullptr ? &node_->snapshot : nullptr;
+      return node_ != nullptr ? node_->snapshot.get() : nullptr;
     }
-    const Catalog& operator*() const { return node_->snapshot; }
-    const Catalog* operator->() const { return &node_->snapshot; }
+    const Catalog& operator*() const { return *node_->snapshot; }
+    const Catalog* operator->() const { return node_->snapshot.get(); }
+    // Shared ownership of the pinned snapshot, outliving the pin.
+    std::shared_ptr<const Catalog> share() const {
+      return node_ != nullptr ? node_->snapshot : nullptr;
+    }
     uint64_t version() const { return node_ != nullptr ? node_->version : 0; }
 
    private:
@@ -137,11 +143,12 @@ class EpochCatalog {
 
  private:
   struct Node {
-    Catalog snapshot;
+    std::shared_ptr<const Catalog> snapshot;
     uint64_t version = 0;
     uint64_t retire_tag = 0;  // epoch at retirement; 0 while current
     Node* retire_next = nullptr;
-    Node(Catalog s, uint64_t v) : snapshot(std::move(s)), version(v) {}
+    Node(std::shared_ptr<const Catalog> s, uint64_t v)
+        : snapshot(std::move(s)), version(v) {}
   };
 
   size_t ReclaimLocked();  // requires writer_mu_

@@ -4,7 +4,6 @@
 
 #include "common/failpoint.h"
 #include "core/augment.h"
-#include "core/transaction.h"
 #include "core/verify.h"
 #include "obs/export.h"
 #include "obs/obs.h"
@@ -57,9 +56,9 @@ Status ValidateSpec(const Schema& schema, const ProjectionSpec& spec) {
 
 namespace {
 
-// `snapshot` is the enclosing transaction's pre-derivation copy; the verifier
-// compares against it, so the pipeline itself never copies the schema.
-Result<DerivationResult> RunPipeline(Schema& schema, const Schema& snapshot,
+// Mutates `schema` (a transaction's draft) in place; `before` is the
+// untouched pre-derivation schema the verifier compares against.
+Result<DerivationResult> RunPipeline(Schema& schema, const Schema& before,
                                      const ProjectionSpec& spec,
                                      const ProjectionOptions& options) {
   std::set<AttrId> projection(spec.attributes.begin(), spec.attributes.end());
@@ -121,12 +120,12 @@ Result<DerivationResult> RunPipeline(Schema& schema, const Schema& snapshot,
     span.Attr("rewrites", std::to_string(result.rewrites.size()));
   }
 
-  // 5. Behavior preservation. A rejection here (or any earlier failure) is
-  //    rolled back by the caller's SchemaTransaction.
+  // 5. Behavior preservation. A rejection here (or any earlier failure)
+  //    drops the caller's draft.
   if (options.verify) {
     obs::ScopedSpan span("Verify");
     TYDER_FAULT_POINT("verify.before");
-    VerifyReport report = VerifyDerivation(snapshot, schema, result);
+    VerifyReport report = VerifyDerivation(before, schema, result);
     if (!report.ok()) {
       return Status::Internal("derivation broke an invariant:\n" +
                               report.ToString());
@@ -137,9 +136,10 @@ Result<DerivationResult> RunPipeline(Schema& schema, const Schema& snapshot,
 
 }  // namespace
 
-Result<DerivationResult> DeriveProjection(Schema& schema,
+Result<DerivationResult> DeriveProjection(SchemaTransaction& txn,
                                           const ProjectionSpec& spec,
                                           const ProjectionOptions& options) {
+  Schema& schema = txn.draft();
   TYDER_RETURN_IF_ERROR(ValidateSpec(schema, spec));
   TYDER_COUNT("projection.derivations");
   TYDER_TIMED("projection.derive_ns");
@@ -155,14 +155,9 @@ Result<DerivationResult> DeriveProjection(Schema& schema,
   obs::Tracer* tracer = obs::CurrentTracer();
   size_t first_event = tracer != nullptr ? tracer->NumEvents() : 0;
 
-  // All-or-nothing: any pipeline failure (including a verify rejection) rolls
-  // the schema back to the transaction's snapshot before returning. The same
-  // snapshot doubles as the verifier's pre-derivation reference.
-  SchemaTransaction txn(schema);
   Result<DerivationResult> result =
-      RunPipeline(schema, txn.snapshot(), spec, options);
+      RunPipeline(schema, txn.before(), spec, options);
   if (!result.ok()) return result;
-  TYDER_RETURN_IF_ERROR(txn.Commit());
   if (options.record_trace && tracer != nullptr) {
     result->events.assign(tracer->events().begin() + first_event,
                           tracer->events().end());
@@ -171,17 +166,27 @@ Result<DerivationResult> DeriveProjection(Schema& schema,
   return result;
 }
 
+Result<ProjectionSpec> ResolveProjectionSpec(
+    const Schema& schema, std::string_view source_type,
+    const std::vector<std::string>& attribute_names,
+    std::string_view view_name) {
+  ProjectionSpec spec;
+  TYDER_ASSIGN_OR_RETURN(spec.source, schema.types().FindType(source_type));
+  for (const std::string& name : attribute_names) {
+    TYDER_ASSIGN_OR_RETURN(AttrId attr, schema.types().FindAttribute(name));
+    spec.attributes.push_back(attr);
+  }
+  spec.view_name = std::string(view_name);
+  return spec;
+}
+
 Result<DerivationResult> DeriveProjectionByName(
     Schema& schema, std::string_view source_type,
     const std::vector<std::string>& attribute_names, std::string_view view_name,
     const ProjectionOptions& options) {
-  ProjectionSpec spec;
-  TYDER_ASSIGN_OR_RETURN(spec.source, schema.types().FindType(source_type));
-  for (const std::string& name : attribute_names) {
-    TYDER_ASSIGN_OR_RETURN(AttrId a, schema.types().FindAttribute(name));
-    spec.attributes.push_back(a);
-  }
-  spec.view_name = std::string(view_name);
+  TYDER_ASSIGN_OR_RETURN(
+      ProjectionSpec spec,
+      ResolveProjectionSpec(schema, source_type, attribute_names, view_name));
   return DeriveProjection(schema, spec, options);
 }
 

@@ -22,6 +22,7 @@
 #include "core/factor_methods.h"
 #include "core/factor_state.h"
 #include "core/is_applicable.h"
+#include "core/transaction.h"
 #include "methods/schema.h"
 #include "obs/tracer.h"
 
@@ -41,7 +42,7 @@ struct ProjectionOptions {
   // DerivationResult::trace lines. When a tracer is already installed (e.g.
   // tyderc --trace), events flow to it and are copied into the result.
   bool record_trace = false;
-  // Run the behavior-preservation verifier against a pre-derivation snapshot
+  // Run the behavior-preservation verifier against the pre-derivation schema
   // and fail the derivation on any violation. Failure contract: a verifier
   // rejection returns Status::Internal carrying the VerifyReport, and — like
   // every other failure in the pipeline — the schema is rolled back to its
@@ -66,15 +67,32 @@ struct DerivationResult {
   std::vector<std::string> trace;
 };
 
-// Derives Π_attributes(source) in place on `schema`.
-//
-// All-or-nothing guarantee: the pipeline runs inside a SchemaTransaction
-// (core/transaction.h). On any non-OK return — invalid spec, a failure in any
-// phase, or a verifier rejection — `schema` is rolled back to its pre-call
-// state and serializes byte-identically to it; on OK the mutations commit.
-Result<DerivationResult> DeriveProjection(Schema& schema,
+// Derives Π_attributes(source) as a step of `txn`: mutates `txn.draft()` in
+// place and verifies it against `txn.before()`, so the draft must not have
+// been mutated yet. On failure the draft is left half-derived; the caller
+// drops the transaction.
+Result<DerivationResult> DeriveProjection(SchemaTransaction& txn,
                                           const ProjectionSpec& spec,
                                           const ProjectionOptions& options = {});
+
+// Derives Π_attributes(source) on `schema`, all-or-nothing: on any non-OK
+// return — invalid spec, a failure in any phase, or a verifier rejection —
+// `schema` is untouched and serializes byte-identically to its pre-call
+// state; on OK the transaction's draft is swapped in (core/transaction.h).
+inline Result<DerivationResult> DeriveProjection(
+    Schema& schema, const ProjectionSpec& spec,
+    const ProjectionOptions& options = {}) {
+  return CloneAndSwap(schema, [&](SchemaTransaction& txn) {
+    return DeriveProjection(txn, spec, options);
+  });
+}
+
+// Resolves a name-based projection request ("Person", {"name","age"}, "V")
+// against the schema. Fails with NotFound on unknown names.
+Result<ProjectionSpec> ResolveProjectionSpec(
+    const Schema& schema, std::string_view source_type,
+    const std::vector<std::string>& attribute_names,
+    std::string_view view_name);
 
 // Name-based convenience wrapper.
 Result<DerivationResult> DeriveProjectionByName(

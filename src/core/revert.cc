@@ -3,7 +3,6 @@
 #include <set>
 
 #include "common/failpoint.h"
-#include "core/transaction.h"
 #include "mir/expr.h"
 
 namespace tyder {
@@ -86,18 +85,15 @@ Status CheckNoExternalObservers(const Schema& schema,
 
 }  // namespace
 
-Status RevertDerivation(Schema& schema, const DerivationResult& derivation) {
+Status RevertDerivation(SchemaTransaction& txn,
+                        const DerivationResult& derivation) {
+  Schema& schema = txn.draft();
   if (derivation.derived >= schema.types().NumTypes() ||
       schema.types().type(derivation.derived).detached()) {
     return Status::FailedPrecondition(
         "derivation is not active on this schema");
   }
   TYDER_RETURN_IF_ERROR(CheckNoExternalObservers(schema, derivation));
-
-  // All-or-nothing: a failure below (mid-unwind or in the final validation)
-  // rolls the schema back, so a refused or failed revert leaves the
-  // derivation fully intact rather than half-unwound.
-  SchemaTransaction txn(schema);
   TYDER_FAULT_POINT("revert.before");
 
   // 1. Restore method signatures and bodies.
@@ -130,9 +126,7 @@ Status RevertDerivation(Schema& schema, const DerivationResult& derivation) {
     node.set_detached(true);
   }
 
-  TYDER_RETURN_IF_ERROR(schema.Validate());
-  TYDER_RETURN_IF_ERROR(txn.Commit());
-  return Status::OK();
+  return schema.Validate();
 }
 
 }  // namespace tyder

@@ -14,14 +14,25 @@
 
 #include "common/status.h"
 #include "core/projection.h"
+#include "core/transaction.h"
 #include "methods/schema.h"
 
 namespace tyder {
 
-// All-or-nothing guarantee: runs inside a SchemaTransaction — on any non-OK
-// return (refused revert or mid-unwind failure) the schema is rolled back to
-// its pre-call state and serializes byte-identically to it.
-Status RevertDerivation(Schema& schema, const DerivationResult& derivation);
+// Reverts in place on `txn`'s draft; on failure the draft is left
+// half-unwound and the caller drops the transaction.
+Status RevertDerivation(SchemaTransaction& txn,
+                        const DerivationResult& derivation);
+
+// All-or-nothing guarantee: on any non-OK return (refused revert or
+// mid-unwind failure) `schema` is untouched and serializes byte-identically
+// to its pre-call state.
+inline Status RevertDerivation(Schema& schema,
+                               const DerivationResult& derivation) {
+  return CloneAndSwap(schema, [&](SchemaTransaction& txn) {
+    return RevertDerivation(txn, derivation);
+  });
+}
 
 }  // namespace tyder
 

@@ -1,42 +1,32 @@
 #include "core/transaction.h"
 
-#include <chrono>
-
 #include "obs/obs.h"
 
 namespace tyder {
 
 namespace {
 
-// Per-thread transaction nesting depth. A plain thread_local: transactions
-// are strictly scope-nested, so a stack is implicit in the
-// SchemaTransaction objects themselves.
-thread_local int g_txn_depth = 0;
+Schema Clone(const Schema& schema) {
+  TYDER_COUNT("catalog.clones");
+  TYDER_TIMED("catalog.clone_ns");
+  return schema;
+}
 
 }  // namespace
 
-SchemaTransaction::SchemaTransaction(Schema& schema)
-    : schema_(schema), snapshot_(schema), depth_(++g_txn_depth) {
-  TYDER_COUNT("transaction.begins");
-}
+SchemaTransaction::SchemaTransaction(const Schema& before)
+    : before_(before), draft_(Clone(before)) {}
 
 SchemaTransaction::~SchemaTransaction() {
-  if (!committed_) Rollback();
-  --g_txn_depth;
-}
-
-Status SchemaTransaction::Commit() {
-  if (committed_) return Status::OK();
-  committed_ = true;
-  return Status::OK();
-}
-
-void SchemaTransaction::Rollback() {
+  if (committed_) return;
   TYDER_COUNT("projection.rollbacks");
-  TYDER_TIMED("projection.rollback_ns");
-  TYDER_RECORD_V(kOp, "txn.rollback", depth_);
+  TYDER_RECORD(kOp, "txn.rollback");
   obs::Narrate(nullptr, "transaction rollback");
-  schema_ = snapshot_;
+}
+
+Schema SchemaTransaction::Commit() {
+  committed_ = true;
+  return std::move(draft_);
 }
 
 }  // namespace tyder

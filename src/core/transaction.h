@@ -1,75 +1,67 @@
-// SchemaTransaction: all-or-nothing schema mutation. The derivation pipeline
-// (FactorState → Augment → FactorMethods) is a multi-phase refactoring of the
-// shared type hierarchy, and the paper's guarantee — existing types keep
-// exactly their original state and behavior — is only meaningful if a failed
-// derivation leaves the schema untouched. A SchemaTransaction snapshots the
-// schema on construction (cheap: method bodies are shared shared_ptrs, so a
-// snapshot is a structure-only copy), and unless Commit() is called, its
-// destructor rolls the schema back to that snapshot — so every early return
-// on an error path restores the pre-call schema byte-for-byte (the rolled
-// back schema serializes identically to the snapshot).
+// SchemaTransaction: all-or-nothing schema mutation by clone-and-swap. The
+// paper's guarantee — existing types keep exactly their original state and
+// behavior — is only meaningful if a failed derivation leaves the schema
+// untouched. A transaction clones the schema once (method bodies are shared
+// shared_ptrs, so the clone is structure-only) and every step mutates the
+// clone, the draft. The original is never written while the transaction is
+// open, so it is also the verifier's before-image. Commit() hands the draft
+// over by move; an uncommitted transaction just drops it, so a rollback
+// copies nothing.
 //
-// Used by DeriveProjection, CollapseEmptySurrogates, RevertDerivation, and
-// every Catalog view operation; each documents the strong guarantee in its
-// header. Rollbacks are observable through the `projection.rollbacks` counter
-// and the `projection.rollback_ns` histogram (docs/ROBUSTNESS.md).
+// Operations built from others (a Catalog view definition deriving a
+// projection) open one transaction and hand it to their steps, which mutate
+// its draft in place. A step that compares against before() must run before
+// any other step has mutated the draft.
 //
-// Transactions nest naturally: an outer transaction (e.g. a Catalog view
-// definition) simply restores over whatever an inner one (DeriveProjection)
-// already rolled back.
-//
-// Durability (src/storage/): a SchemaTransaction is purely in-memory — it
-// commits the writer TIP. The durable catalog sequences the committed op's
-// WAL record into the group-commit queue (storage/wal.h) afterwards, and
-// only a durable batch fsync publishes the state as a reader-visible schema
-// epoch (core/epoch.h). A commit whose record fails to persist is rolled
-// back wholesale by resetting the tip to the last durable epoch — the
-// transaction layer never needs to know. (Earlier revisions fired a
-// per-thread commit hook from the outermost Commit() so the WAL fsync
-// preceded the in-memory publish; the epoch layer made that inversion
-// unnecessary, since "published" now means the epoch pointer swap, which
-// already happens strictly after the fsync.)
+// The durable catalog (storage/durable_catalog.h) drafts on a clone of its
+// tip and publishes the committed draft by pointer as the new tip and schema
+// epoch (core/epoch.h). Metrics: `catalog.clones`, `catalog.clone_ns`, and
+// `projection.rollbacks` for dropped drafts (docs/ROBUSTNESS.md).
 
 #ifndef TYDER_CORE_TRANSACTION_H_
 #define TYDER_CORE_TRANSACTION_H_
 
-#include "common/status.h"
+#include <utility>
+
 #include "methods/schema.h"
 
 namespace tyder {
 
 class SchemaTransaction {
  public:
-  explicit SchemaTransaction(Schema& schema);
-  // Rolls back unless Commit() succeeded.
+  // Clones `before` into the draft: the transaction's one whole-schema copy.
+  // `before` must outlive the transaction and stay unmodified until Commit.
+  explicit SchemaTransaction(const Schema& before);
+  // Drops the draft unless Commit() took it.
   ~SchemaTransaction();
 
   SchemaTransaction(const SchemaTransaction&) = delete;
   SchemaTransaction& operator=(const SchemaTransaction&) = delete;
 
-  // Keeps the mutations made since construction; the destructor becomes a
-  // no-op. Commit is in-memory only (see the file comment on how the
-  // storage layer sequences durability after it).
-  [[nodiscard]] Status Commit();
+  // The clone every step mutates.
+  Schema& draft() { return draft_; }
+  // The untouched pre-transaction schema.
+  const Schema& before() const { return before_; }
+
+  // Moves the draft out; the caller swaps it in for before().
+  Schema Commit();
   bool committed() const { return committed_; }
 
-  // The pre-transaction state. Stable for the transaction's lifetime — the
-  // verifier compares the mutated schema against exactly this snapshot, so
-  // the pipeline does not need a second copy.
-  const Schema& snapshot() const { return snapshot_; }
-
  private:
-  void Rollback();
-
-  Schema& schema_;
-  Schema snapshot_;
-  // 1 for the outermost live transaction on this thread, 2 for one nested
-  // inside it, ... An inner transaction (e.g. DeriveProjection inside a
-  // Catalog view definition) is an implementation detail of an operation
-  // that commits — and becomes durable — as a whole.
-  int depth_;
+  const Schema& before_;
+  Schema draft_;
   bool committed_ = false;
 };
+
+// Runs `op(txn)` on a transaction over `schema` and swaps the draft into
+// `schema` when the result is OK; on failure `schema` is untouched.
+template <typename Op>
+auto CloneAndSwap(Schema& schema, Op&& op) {
+  SchemaTransaction txn(schema);
+  auto result = std::forward<Op>(op)(txn);
+  if (result.ok()) schema = txn.Commit();
+  return result;
+}
 
 }  // namespace tyder
 

@@ -17,8 +17,8 @@
 //      as `dispatch.cache_hit` / `dispatch.cache_miss`.
 //
 // Both structures hang off Schema's analysis-cache slots, so schema copies
-// and transaction rollbacks start cold and nothing here can leak stale
-// answers across a mutation.
+// (every transaction's clone included) start cold and nothing here can leak
+// stale answers across a mutation.
 
 #ifndef TYDER_METHODS_DISPATCH_TABLE_H_
 #define TYDER_METHODS_DISPATCH_TABLE_H_

@@ -10,12 +10,17 @@
 namespace tyder {
 
 TypeGraph::TypeGraph(const TypeGraph& other)
-    : types_(other.types_),
-      attrs_(other.attrs_),
+    : attrs_(other.attrs_),
       type_index_(other.type_index_),
       attr_index_(other.attr_index_),
       version_(other.version_),
-      cache_enabled_(other.cache_enabled_) {}
+      cache_enabled_(other.cache_enabled_) {
+  // A copy is usually a transaction's clone, about to declare a few types.
+  // Room for them up front spares the reallocation that would move every
+  // node and double the array.
+  types_.reserve(other.types_.size() + 8);
+  types_ = other.types_;
+}
 
 TypeGraph& TypeGraph::operator=(const TypeGraph& other) {
   if (this == &other) return *this;

@@ -4,6 +4,7 @@
 #include <charconv>
 #include <chrono>
 #include <cstdio>
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -159,10 +160,11 @@ Result<DurableCatalog> DurableCatalog::Open(const std::string& dir, Env* env,
   }
   std::sort(snapshots.rbegin(), snapshots.rend());
   uint64_t snapshot_lsn = 0;
+  std::optional<Catalog> recovered;
   for (const auto& [lsn, path] : snapshots) {
     Result<Catalog> loaded = ReadCatalogSnapshotFile(*db.env_, path);
     if (loaded.ok()) {
-      db.catalog_ = std::make_unique<Catalog>(std::move(loaded).value());
+      recovered.emplace(std::move(loaded).value());
       db.recovery_.snapshot_loaded = true;
       snapshot_lsn = lsn;
       break;
@@ -171,7 +173,7 @@ Result<DurableCatalog> DurableCatalog::Open(const std::string& dir, Env* env,
         "snapshot '" + path + "' is unusable (" + loaded.status().message() +
         "); falling back to an older snapshot");
   }
-  if (db.catalog_ == nullptr) {
+  if (!recovered.has_value()) {
     if (!snapshots.empty()) {
       std::string detail;
       for (const std::string& w : db.recovery_.warnings) {
@@ -185,7 +187,7 @@ Result<DurableCatalog> DurableCatalog::Open(const std::string& dir, Env* env,
     }
     Result<Catalog> fresh = Catalog::Create();
     if (!fresh.ok()) return fresh.status();
-    db.catalog_ = std::make_unique<Catalog>(std::move(fresh).value());
+    recovered.emplace(std::move(fresh).value());
   }
   db.recovery_.snapshot_lsn = snapshot_lsn;
   uint64_t recovered_lsn = snapshot_lsn;
@@ -204,7 +206,7 @@ Result<DurableCatalog> DurableCatalog::Open(const std::string& dir, Env* env,
   // snapshot rename and its WAL truncate.)
   for (const WalRecord& record : wal->records) {
     if (record.lsn <= snapshot_lsn) continue;
-    Status replayed = ReplayOp(*db.catalog_, record.payload);
+    Status replayed = ReplayOp(*recovered, record.payload);
     if (!replayed.ok()) {
       return Status::Internal(
           "WAL replay failed at lsn " + std::to_string(record.lsn) + " ('" +
@@ -218,6 +220,7 @@ Result<DurableCatalog> DurableCatalog::Open(const std::string& dir, Env* env,
   Result<WalWriter> writer = WalWriter::Open(db.wal_path_, db.env_);
   if (!writer.ok()) return writer.status();
   db.wal_ = std::make_unique<WalWriter>(std::move(writer).value());
+  db.catalog_ = std::make_shared<const Catalog>(std::move(*recovered));
 
   // Commit state: the group-commit queue over the WAL, and the epoch layer
   // seeded with the recovered catalog so readers can pin from the start.
@@ -226,14 +229,14 @@ Result<DurableCatalog> DurableCatalog::Open(const std::string& dir, Env* env,
   db.state_ = std::make_unique<CommitState>();
   db.state_->tip_lsn = recovered_lsn;
   db.state_->durable_lsn.store(recovered_lsn, std::memory_order_relaxed);
-  db.state_->epochs.Publish(*db.catalog_, recovered_lsn);
+  db.state_->epochs.Publish(db.catalog_, recovered_lsn);
   db.state_->group_options = group;
   db.state_->group = std::make_unique<GroupWal>(db.wal_.get(), group);
   db.state_->group->set_on_batch_durable([cs = db.state_.get()](
                                              uint64_t last_lsn) {
     // Leader side, batch fsync'd, no waiter awake yet: publish the batch's
-    // final snapshot as the new epoch and advance the acknowledged lsn.
-    // Intermediate per-record snapshots of the same batch are dropped —
+    // final catalog as the new epoch and advance the acknowledged lsn.
+    // Intermediate per-record catalogs of the same batch are released —
     // they were never individually acknowledged.
     std::lock_guard<std::mutex> lock(cs->publish_mu);
     auto it = cs->pending_publish.find(last_lsn);
@@ -292,7 +295,7 @@ Status DurableCatalog::Reopen() {
   // the old queue's Wait(). Only the catalog, the WAL handle, and the lsn
   // bookkeeping are replaced; `fresh`'s private CommitState dies unused.
   uint64_t lsn = fresh->last_lsn();
-  *catalog_ = std::move(*fresh->catalog_);
+  catalog_ = fresh->catalog_;
   wal_ = std::move(fresh->wal_);
   state_->group->ResetWal(wal_.get());
   recovery_ = fresh->recovery_;
@@ -302,9 +305,8 @@ Status DurableCatalog::Reopen() {
     // Re-publish the recovered catalog. Recovery lands pre- or post- the
     // interrupted mutation: at a version past the published one this
     // advances the epoch; at the same version replay is deterministic, so
-    // the published snapshot is already byte-identical and the stale
-    // publish is dropped.
-    state_->epochs.Publish(*catalog_, lsn);
+    // the republished catalog is byte-identical to the one it replaces.
+    state_->epochs.Publish(catalog_, lsn);
     state_->durable_lsn.store(lsn, std::memory_order_release);
   }
   state_->tip_lsn = lsn;
@@ -314,14 +316,13 @@ Status DurableCatalog::Reopen() {
   return Status::OK();
 }
 
-// Rolls the writer tip back to the last durable (published) epoch and drops
-// every pending publish past it. Requires writer_mu, and no batch in flight
-// (true whenever a stall is pending: the leader stalls the queue before any
-// waiter can reach this path, and new enqueues are refused until the stall
-// is consumed).
+// Re-points the writer tip at the last durable (published) epoch — no copy —
+// and drops every pending publish past it. Requires writer_mu, and no batch
+// in flight (true whenever a stall is pending: the leader stalls the queue
+// before any waiter can reach this path, and new enqueues are refused until
+// the stall is consumed).
 void DurableCatalog::ResetTipToDurableLocked() {
-  EpochCatalog::Pin pin(state_->epochs);
-  *catalog_ = *pin.get();  // Open always publishes, so the pin is never null
+  catalog_ = EpochCatalog::Pin(state_->epochs).share();  // Open publishes
   uint64_t durable = state_->durable_lsn.load(std::memory_order_acquire);
   state_->tip_lsn = durable;
   std::lock_guard<std::mutex> lock(state_->publish_mu);
@@ -349,33 +350,38 @@ void DurableCatalog::AbsorbFailureLocked(const Status& cause) {
 // The group-commit path every logged mutation rides:
 //
 //   lock writer_mu → absorb any unconsumed failure → refuse if degraded
-//   → apply the op to the tip (all-or-nothing via its SchemaTransaction)
-//   → assign the next lsn, stash the tip snapshot for the leader to publish
+//   → apply the op to a draft: the mutation's one clone of the tip, verified
+//     against the tip itself (a refused op drops the draft, tip untouched)
+//   → the draft becomes the tip; assign the next lsn and hand the same
+//     catalog to the leader to publish
 //   → enqueue the record, UNLOCK, wait for the batch fsync
 //
 // On a durable ack the op returns success — its epoch is already published
 // (the leader publishes before waking waiters). On any commit failure the
-// op re-locks, rolls the tip back to the last durable epoch (unless another
+// op re-locks, re-points the tip at the last durable epoch (unless another
 // failed committer already did) and returns the failure: the caller
 // observes pre-call state, and may retry once the disk recovers unless the
 // failure poisoned the WAL (→ degraded).
-template <typename ResultT, typename OpFn>
-ResultT DurableCatalog::CommitLogged(std::string payload, OpFn&& op) {
+template <auto Op, typename... Args>
+auto DurableCatalog::CommitLogged(std::string payload, const Args&... args)
+    -> decltype((std::declval<CatalogDraft&>().*Op)(args...)) {
   std::unique_lock<std::mutex> lock(state_->writer_mu);
   if (state_->group->stalled()) {
     AbsorbFailureLocked(Status::Internal("an earlier group commit failed"));
   }
   if (!degraded_.ok()) return degraded_;
 
-  ResultT applied = op();
+  CatalogDraft draft(*catalog_);
+  auto applied = (draft.*Op)(args...);
   if (!applied.ok()) return applied;  // refused by the catalog: tip untouched
+  catalog_ = std::make_shared<const Catalog>(draft.Commit());
 
   uint64_t lsn = ++state_->tip_lsn;
   {
     // Stash before enqueue: the leader may seal, fsync and publish this
     // record the instant it is queued.
     std::lock_guard<std::mutex> plock(state_->publish_mu);
-    state_->pending_publish.emplace(lsn, *catalog_);
+    state_->pending_publish.emplace(lsn, catalog_);
   }
   GroupWal::Ticket ticket;
   Status enqueued = state_->group->Enqueue(ticket, lsn, std::move(payload));
@@ -403,19 +409,16 @@ Result<const ViewDef*> DurableCatalog::DefineProjectionView(
   std::string payload = "project " + std::string(name) + ' ' +
                         std::string(source_type) + ' ' +
                         JoinNames(attribute_names) + ' ' + VerifyFlag(options);
-  return CommitLogged<Result<const ViewDef*>>(std::move(payload), [&] {
-    return catalog_->DefineProjectionView(name, source_type, attribute_names,
-                                          options);
-  });
+  return CommitLogged<&CatalogDraft::DefineProjectionView>(
+      std::move(payload), name, source_type, attribute_names, options);
 }
 
 Result<const ViewDef*> DurableCatalog::DefineSelectionView(
     std::string_view name, std::string_view source_type) {
   std::string payload =
       "select " + std::string(name) + ' ' + std::string(source_type);
-  return CommitLogged<Result<const ViewDef*>>(std::move(payload), [&] {
-    return catalog_->DefineSelectionView(name, source_type);
-  });
+  return CommitLogged<&CatalogDraft::DefineSelectionView>(std::move(payload),
+                                                          name, source_type);
 }
 
 Result<const ViewDef*> DurableCatalog::DefineGeneralizationView(
@@ -424,9 +427,8 @@ Result<const ViewDef*> DurableCatalog::DefineGeneralizationView(
   std::string payload = "generalize " + std::string(name) + ' ' +
                         std::string(type_a) + ' ' + std::string(type_b) + ' ' +
                         VerifyFlag(options);
-  return CommitLogged<Result<const ViewDef*>>(std::move(payload), [&] {
-    return catalog_->DefineGeneralizationView(name, type_a, type_b, options);
-  });
+  return CommitLogged<&CatalogDraft::DefineGeneralizationView>(
+      std::move(payload), name, type_a, type_b, options);
 }
 
 Result<const ViewDef*> DurableCatalog::DefineRenameView(
@@ -442,20 +444,17 @@ Result<const ViewDef*> DurableCatalog::DefineRenameView(
   std::string payload = "rename " + std::string(name) + ' ' +
                         std::string(source_type) + ' ' + pairs + ' ' +
                         VerifyFlag(options);
-  return CommitLogged<Result<const ViewDef*>>(std::move(payload), [&] {
-    return catalog_->DefineRenameView(name, source_type, renames, options);
-  });
+  return CommitLogged<&CatalogDraft::DefineRenameView>(
+      std::move(payload), name, source_type, renames, options);
 }
 
 Status DurableCatalog::DropView(std::string_view name) {
   std::string payload = "drop " + std::string(name);
-  return CommitLogged<Status>(std::move(payload),
-                              [&] { return catalog_->DropView(name); });
+  return CommitLogged<&CatalogDraft::DropView>(std::move(payload), name);
 }
 
 Result<CollapseReport> DurableCatalog::Collapse() {
-  return CommitLogged<Result<CollapseReport>>(
-      "collapse", [&] { return catalog_->Collapse(); });
+  return CommitLogged<&CatalogDraft::Collapse>("collapse");
 }
 
 Status DurableCatalog::Seed(Catalog catalog) {
@@ -470,12 +469,12 @@ Status DurableCatalog::Seed(Catalog catalog) {
         "' already has durable state; refusing to overwrite it with a new "
         "schema");
   }
-  *catalog_ = std::move(catalog);
+  catalog_ = std::make_shared<const Catalog>(std::move(catalog));
   Status compacted = CompactLocked();
   if (compacted.ok()) {
     // The seed never rode the WAL, so publish it directly — the snapshot
     // write above made it durable.
-    state_->epochs.Publish(*catalog_, last_lsn());
+    state_->epochs.Publish(catalog_, last_lsn());
   }
   return compacted;
 }

@@ -9,23 +9,26 @@
 //                                    every record with lsn <= <lsn>
 //
 // Durability protocol (MVCC + group commit). Mutations are serialized on a
-// writer lock and applied to a mutable writer TIP (`catalog()`); the op's
-// WAL record is then sequenced into a group-commit queue (storage/wal.h
-// GroupWal) where one leader writes a whole batch of concurrent commits with
-// a single fsync. Only after the batch is durable does the leader PUBLISH
-// the corresponding snapshot as a new schema epoch (core/epoch.h) — so the
-// published, reader-visible state never runs ahead of stable storage, and an
-// operation is acknowledged only once its record is fsync'd. Readers that
-// must never block on writers use PinSnapshot(): a wait-free guard on the
-// latest published epoch, valid (with all its analysis caches) until
-// unpinned regardless of concurrent commits. `catalog()` remains the
-// single-threaded view: with no concurrent committers it is always the last
-// acknowledged state (any failed op's tip mutations are rolled back to the
-// last durable epoch before the op returns).
+// writer lock. Each clones the writer TIP (`catalog()`, the newest committed
+// catalog) once into a CatalogDraft (catalog/catalog.h), applies the op to
+// the clone and verifies it against the untouched tip; a refused op drops
+// the clone. An accepted clone becomes the tip, and its WAL record is
+// sequenced into a group-commit queue (storage/wal.h GroupWal) where one
+// leader writes a whole batch of concurrent commits with a single fsync.
+// Only after the batch is durable does the leader PUBLISH the batch's last
+// catalog — by pointer, not a copy — as a new schema epoch (core/epoch.h),
+// so the published, reader-visible state never runs ahead of stable
+// storage, and an operation is acknowledged only once its record is
+// fsync'd. Readers that must never block on writers use PinSnapshot(): a
+// wait-free guard on the latest published epoch, valid (with all its
+// analysis caches) until unpinned regardless of concurrent commits.
+// `catalog()` remains the single-threaded view: with no concurrent
+// committers it is always the last acknowledged state (a failed commit
+// re-points the tip at the last durable epoch before the op returns).
 //
 // If a batch append fails, NONE of its operations commit: every waiter
 // observes the failure, the group stalls, and the first failing committer to
-// reacquire the writer lock rolls the tip back to the last durable epoch
+// reacquire the writer lock re-points the tip at the last durable epoch
 // (so records sequenced against never-durable state are never written).
 // Records carry the textual op (including the verify flag, since a
 // no-verify derivation might not replay under verify) and are replayed
@@ -111,8 +114,8 @@ class DurableCatalog {
   DurableCatalog& operator=(DurableCatalog&&) = default;
 
   // The writer tip. Safe only without concurrent committers; concurrent
-  // readers use PinSnapshot() instead.
-  Catalog& catalog() { return *catalog_; }
+  // readers use PinSnapshot() instead. Every mutation replaces the tip, so
+  // the reference is valid only until the next one.
   const Catalog& catalog() const { return *catalog_; }
 
   // Wait-free pin of the newest PUBLISHED epoch: the last state whose WAL
@@ -159,7 +162,7 @@ class DurableCatalog {
 
   // --- logged mutations (Catalog API + durability) --------------------------
   // Same contracts as the Catalog methods; additionally, on OK the operation
-  // is on stable storage, and on failure it is rolled back in memory (the
+  // is on stable storage, and on failure the tip is the pre-call catalog (the
   // WAL tail is restored durably, see WalWriter::Append). All refuse with
   // degraded_status() while degraded.
 
@@ -200,12 +203,13 @@ class DurableCatalog {
     uint64_t tip_lsn = 0;
     // LSN of the last durably acknowledged (and published) record.
     std::atomic<uint64_t> durable_lsn{0};
-    // Tip snapshots keyed by lsn, awaiting their batch fsync; the leader
-    // publishes the entry matching the batch's last lsn. Guarded by
-    // publish_mu (never writer_mu: the leader publishes while another
-    // committer may hold writer_mu applying the next op).
+    // Committed tips keyed by lsn, awaiting their batch fsync; the leader
+    // publishes the entry matching the batch's last lsn. Shared with the
+    // tip, never copied. Guarded by publish_mu (never writer_mu: the leader
+    // publishes while another committer may hold writer_mu applying the
+    // next op).
     std::mutex publish_mu;
-    std::map<uint64_t, Catalog> pending_publish;
+    std::map<uint64_t, std::shared_ptr<const Catalog>> pending_publish;
     // Mirrors degraded_ for lock-free observers (degraded_now()).
     std::atomic<bool> degraded_flag{false};
     EpochCatalog epochs;
@@ -214,9 +218,10 @@ class DurableCatalog {
   };
 
   // The group-commit path shared by every logged mutation; see .cc.
-  template <typename ResultT, typename OpFn>
-  ResultT CommitLogged(std::string payload, OpFn&& op);
-  // Under writer_mu: consume a pending stall (rolling the tip back to the
+  template <auto Op, typename... Args>
+  auto CommitLogged(std::string payload, const Args&... args)
+      -> decltype((std::declval<CatalogDraft&>().*Op)(args...));
+  // Under writer_mu: consume a pending stall (re-pointing the tip at the
   // last durable epoch) and mirror a poisoned WAL into degraded mode.
   void AbsorbFailureLocked(const Status& cause);
   void ResetTipToDurableLocked();
@@ -228,10 +233,11 @@ class DurableCatalog {
   std::string dir_;
   std::string wal_path_;
   Env* env_ = nullptr;
-  // unique_ptrs keep the class movable without hand-written moves (Catalog
-  // holds a Schema; WalWriter owns a file handle; CommitState holds mutexes
-  // and must stay address-stable for the leader callback).
-  std::unique_ptr<Catalog> catalog_;
+  // The tip is shared with pending_publish and the epoch layer. unique_ptrs
+  // keep the class movable without hand-written moves (WalWriter owns a file
+  // handle; CommitState holds mutexes and must stay address-stable for the
+  // leader callback).
+  std::shared_ptr<const Catalog> catalog_;
   std::unique_ptr<WalWriter> wal_;
   std::unique_ptr<CommitState> state_;
   RecoveryInfo recovery_;

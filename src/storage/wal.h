@@ -9,9 +9,10 @@
 //   16      n     payload (one logical mutation, storage/durable_catalog.h)
 //
 // Append semantics: the record is written and fsync'd (through storage::Env)
-// before Append returns OK — the durable catalog calls Append from a
-// SchemaTransaction commit hook, so an operation is never published in
-// memory before its record is on stable storage.
+// before Append returns OK. The durable catalog appends through GroupWal
+// (below) and publishes an operation's catalog — its clone-and-swap draft,
+// handed over by pointer — only after the batch's fsync, so an operation is
+// never published in memory before its record is on stable storage.
 //
 // Failure semantics: on a failed append the writer truncates the file back
 // to its pre-call length and fsyncs the truncation, so a retry starts from

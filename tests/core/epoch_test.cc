@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <filesystem>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -29,6 +30,10 @@ Catalog PersonEmployeeCatalog() {
   return Catalog(std::move(fx->schema));
 }
 
+std::shared_ptr<const Catalog> Shared(Catalog catalog) {
+  return std::make_shared<const Catalog>(std::move(catalog));
+}
+
 Catalog WithView(Catalog catalog, const std::string& name) {
   auto view = catalog.DefineProjectionView(
       name, "Employee", {"SSN", "date_of_birth", "pay_rate"});
@@ -38,7 +43,7 @@ Catalog WithView(Catalog catalog, const std::string& name) {
 
 TEST(EpochCatalogTest, PublishRetireReclaimLifecycle) {
   EpochCatalog epochs;
-  epochs.Publish(PersonEmployeeCatalog(), 1);
+  epochs.Publish(Shared(PersonEmployeeCatalog()), 1);
   EXPECT_EQ(epochs.published_version(), 1u);
   EXPECT_EQ(epochs.retired_pending(), 0u);
 
@@ -49,7 +54,7 @@ TEST(EpochCatalogTest, PublishRetireReclaimLifecycle) {
     EXPECT_TRUE(pin->views().empty());
 
     // Publishing past the pin retires v1 but must not free it.
-    epochs.Publish(WithView(PersonEmployeeCatalog(), "EmployeeView"), 2);
+    epochs.Publish(Shared(WithView(PersonEmployeeCatalog(), "EmployeeView")), 2);
     EXPECT_EQ(epochs.published_version(), 2u);
     EXPECT_EQ(epochs.retired_pending(), 1u);
     EXPECT_EQ(epochs.TryReclaim(), 0u);
@@ -72,7 +77,7 @@ TEST(EpochCatalogTest, PublishRetireReclaimLifecycle) {
 
 TEST(EpochCatalogTest, PinnedSchemaStaysInternallyConsistent) {
   EpochCatalog epochs;
-  epochs.Publish(WithView(PersonEmployeeCatalog(), "EmployeeView"), 1);
+  epochs.Publish(Shared(WithView(PersonEmployeeCatalog(), "EmployeeView")), 1);
 
   EpochCatalog::Pin pin(epochs);
   auto view = pin->FindView("EmployeeView");
@@ -85,7 +90,7 @@ TEST(EpochCatalogTest, PinnedSchemaStaysInternallyConsistent) {
 
   // Writers storm past the pin: new epochs with the view dropped again.
   for (uint64_t v = 2; v < 10; ++v) {
-    epochs.Publish(PersonEmployeeCatalog(), v);
+    epochs.Publish(Shared(PersonEmployeeCatalog()), v);
   }
 
   // The pinned epoch (and its caches) must answer exactly as before.
@@ -99,8 +104,8 @@ TEST(EpochCatalogTest, PinnedSchemaStaysInternallyConsistent) {
 
 TEST(EpochCatalogTest, StalePublishIsDropped) {
   EpochCatalog epochs;
-  epochs.Publish(WithView(PersonEmployeeCatalog(), "V5"), 5);
-  epochs.Publish(PersonEmployeeCatalog(), 3);  // stale: must not regress
+  epochs.Publish(Shared(WithView(PersonEmployeeCatalog(), "V5")), 5);
+  epochs.Publish(Shared(PersonEmployeeCatalog()), 3);  // stale: must not regress
   EXPECT_EQ(epochs.published_version(), 5u);
   EpochCatalog::Pin pin(epochs);
   EXPECT_TRUE(pin->FindView("V5").ok());
@@ -108,18 +113,18 @@ TEST(EpochCatalogTest, StalePublishIsDropped) {
 
 TEST(EpochCatalogTest, NestedPinsShareTheSlotConservatively) {
   EpochCatalog epochs;
-  epochs.Publish(PersonEmployeeCatalog(), 1);
+  epochs.Publish(Shared(PersonEmployeeCatalog()), 1);
 
   EpochCatalog::Pin outer(epochs);
   EXPECT_EQ(outer.version(), 1u);
-  epochs.Publish(WithView(PersonEmployeeCatalog(), "V2"), 2);
+  epochs.Publish(Shared(WithView(PersonEmployeeCatalog(), "V2")), 2);
   {
     // The inner pin sees the newest epoch but must not overwrite the
     // thread's (older, more conservative) announce.
     EpochCatalog::Pin inner(epochs);
     EXPECT_EQ(inner.version(), 2u);
   }
-  epochs.Publish(WithView(PersonEmployeeCatalog(), "V3"), 3);
+  epochs.Publish(Shared(WithView(PersonEmployeeCatalog(), "V3")), 3);
 
   // Both retired epochs are still protected by the outer pin's announce.
   EXPECT_EQ(epochs.retired_pending(), 2u);
@@ -130,7 +135,7 @@ TEST(EpochCatalogTest, NestedPinsShareTheSlotConservatively) {
 
 TEST(EpochCatalogTest, UnpinningLastOfManyReadersFrees) {
   EpochCatalog epochs;
-  epochs.Publish(PersonEmployeeCatalog(), 1);
+  epochs.Publish(Shared(PersonEmployeeCatalog()), 1);
 
   constexpr int kReaders = 8;
   std::atomic<int> pinned{0};
@@ -148,7 +153,7 @@ TEST(EpochCatalogTest, UnpinningLastOfManyReadersFrees) {
   }
   while (pinned.load() < kReaders) std::this_thread::yield();
 
-  epochs.Publish(WithView(PersonEmployeeCatalog(), "V2"), 2);
+  epochs.Publish(Shared(WithView(PersonEmployeeCatalog(), "V2")), 2);
   EXPECT_EQ(epochs.retired_pending(), 1u);
   EXPECT_EQ(epochs.TryReclaim(), 0u);  // every reader still pins v1
 

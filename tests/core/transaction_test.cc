@@ -3,8 +3,8 @@
 // schema serializing byte-identically to its pre-call snapshot (checked with
 // catalog/serialize and catalog/diff), and a subsequent un-faulted run of the
 // same operation must succeed — a failed derivation may not poison the
-// schema. Also covers the SchemaTransaction primitive itself, the fail-point
-// registry semantics, and the rollback metrics.
+// schema. Also covers the SchemaTransaction (clone-and-swap) primitive
+// itself, the fail-point registry semantics, and the rollback metrics.
 
 #include "core/transaction.h"
 
@@ -30,18 +30,27 @@ namespace {
 // ---------------------------------------------------------------------------
 // SchemaTransaction primitive.
 
+ProjectionSpec EmployeeViewSpec(const Schema& schema) {
+  Result<ProjectionSpec> spec = ResolveProjectionSpec(
+      schema, "Employee", {"SSN", "date_of_birth", "pay_rate"}, "V");
+  EXPECT_TRUE(spec.ok()) << spec.status();
+  return spec.ok() ? *spec : ProjectionSpec{};
+}
+
 TEST(SchemaTransactionTest, DestructorRollsBackByteIdentical) {
   auto fx = testing::BuildPersonEmployee();
   ASSERT_TRUE(fx.ok()) << fx.status();
   std::string pre = SerializeSchema(fx->schema);
   {
     SchemaTransaction txn(fx->schema);
-    // The inner derivation commits its own (nested) transaction; the
-    // uncommitted outer one must still restore the pre-call state over it.
-    auto derived = DeriveProjectionByName(
-        fx->schema, "Employee", {"SSN", "date_of_birth", "pay_rate"}, "V");
+    // The derivation runs as a step of the uncommitted transaction: it
+    // mutates only the draft, and dropping the draft leaves the schema as
+    // it was.
+    auto derived =
+        DeriveProjection(txn, EmployeeViewSpec(fx->schema));
     ASSERT_TRUE(derived.ok()) << derived.status();
-    ASSERT_NE(SerializeSchema(fx->schema), pre);
+    ASSERT_NE(SerializeSchema(txn.draft()), pre);
+    ASSERT_EQ(SerializeSchema(fx->schema), pre);
   }
   EXPECT_EQ(SerializeSchema(fx->schema), pre);
   EXPECT_FALSE(fx->schema.types().FindType("V").ok());
@@ -52,11 +61,8 @@ TEST(SchemaTransactionTest, CommitKeepsMutations) {
   ASSERT_TRUE(fx.ok()) << fx.status();
   {
     SchemaTransaction txn(fx->schema);
-    ASSERT_TRUE(DeriveProjectionByName(fx->schema, "Employee",
-                                       {"SSN", "date_of_birth", "pay_rate"},
-                                       "V")
-                    .ok());
-    EXPECT_TRUE(txn.Commit().ok());
+    ASSERT_TRUE(DeriveProjection(txn, EmployeeViewSpec(fx->schema)).ok());
+    fx->schema = txn.Commit();
     EXPECT_TRUE(txn.committed());
   }
   EXPECT_TRUE(fx->schema.types().FindType("V").ok());
@@ -67,12 +73,12 @@ TEST(SchemaTransactionTest, SnapshotIsStablePreCallState) {
   ASSERT_TRUE(fx.ok()) << fx.status();
   std::string pre = SerializeSchema(fx->schema);
   SchemaTransaction txn(fx->schema);
-  ASSERT_TRUE(DeriveProjectionByName(fx->schema, "Employee",
-                                     {"SSN", "date_of_birth", "pay_rate"}, "V")
-                  .ok());
-  // The snapshot does not follow the mutation — the verifier relies on this.
-  EXPECT_EQ(SerializeSchema(txn.snapshot()), pre);
-  EXPECT_TRUE(txn.Commit().ok());
+  ASSERT_TRUE(DeriveProjection(txn, EmployeeViewSpec(fx->schema)).ok());
+  // The before-image is the caller's schema itself, untouched by the
+  // mutation — the verifier relies on this.
+  EXPECT_EQ(&txn.before(), &fx->schema);
+  EXPECT_EQ(SerializeSchema(txn.before()), pre);
+  fx->schema = txn.Commit();
 }
 
 TEST(SchemaTransactionTest, RollbackIsCountedInMetrics) {

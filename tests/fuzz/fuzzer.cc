@@ -15,6 +15,8 @@
 
 #include "catalog/catalog.h"
 #include "common/failpoint.h"
+#include "core/dispatch_preservation.h"
+#include "core/projection.h"
 #include "obs/obs.h"
 #include "oracle/differential.h"
 #include "oracle/reference.h"
@@ -309,6 +311,8 @@ class TraceRunner {
     }
     std::string vname = "FZV" + std::to_string(next_view_++);
     std::string pre = Serialized();
+    Schema before = catalog_.schema();
+    TYDER_RETURN_IF_ERROR(CheckDispatchVerdict(before, vname, src, attrs));
     Result<const ViewDef*> r =
         catalog_.DefineProjectionView(vname, src, attrs);
     if (!r.ok()) {
@@ -316,11 +320,44 @@ class TraceRunner {
       // reject exotic schemas) but must be invisible.
       return CheckUnchanged(pre, "DefineProjectionView(" + vname + ")");
     }
+    // The verifier compared the draft with its before-image and accepted:
+    // the exhaustive oracle must find no dispatch change either.
+    std::vector<std::string> changed =
+        oracle::RefDispatchChanges(before, catalog_.schema());
+    if (!changed.empty()) {
+      return Fail("DefineProjectionView(" + vname + ") was accepted but " +
+                  "changed dispatch: " + changed.front());
+    }
     ApplyDeriveToModel(vname, src, std::move(attr_set));
     // Section 5, from first principles: derived cumulative state == the
     // projected attribute set.
     return oracle::CheckDerivedState(catalog_.schema(), (*r)->derived,
                                      (*r)->attributes);
+  }
+
+  // The dispatch half of the verifier against its oracle, on the same
+  // derivation run unverified on a copy: CheckDispatchPreserved must report
+  // exactly oracle::RefDispatchChanges' lines, in order, whether the
+  // catalog then accepts the derivation or refuses it.
+  Status CheckDispatchVerdict(const Schema& before, const std::string& vname,
+                              const std::string& src,
+                              const std::vector<std::string>& attrs) {
+    Schema after = before;
+    ProjectionOptions unverified;
+    unverified.verify = false;
+    if (!DeriveProjectionByName(after, src, attrs, vname, unverified).ok()) {
+      return Status::OK();  // nothing derived, nothing to compare
+    }
+    std::vector<std::string> issues;
+    CheckDispatchPreserved(before, after, &issues);
+    std::vector<std::string> expected =
+        oracle::RefDispatchChanges(before, after);
+    if (issues != expected) {
+      return Fail("dispatch check disagrees with the oracle on " + vname +
+                  ": " + std::to_string(issues.size()) + " issues vs " +
+                  std::to_string(expected.size()) + " oracle changes");
+    }
+    return Status::OK();
   }
 
   Status DoCollapse() {

@@ -311,7 +311,6 @@ int RunOps(const std::string& schema_path, const std::string& db_dir,
            const std::vector<std::string>& ops, int jobs) {
   std::optional<Catalog> owned;          // file mode
   std::optional<storage::DurableCatalog> db;  // --db mode
-  Catalog* catalog = nullptr;
 
   if (!db_dir.empty()) {
     Result<storage::DurableCatalog> opened =
@@ -328,22 +327,25 @@ int RunOps(const std::string& schema_path, const std::string& db_dir,
       if (!seeded.ok()) return Fail(seeded);
       std::cout << "seeded db '" << db_dir << "' from " << schema_path << "\n";
     }
-    catalog = &db->catalog();
   } else {
     if (schema_path.empty()) return Usage();
     Result<Catalog> loaded = LoadTdlFile(schema_path);
     if (!loaded.ok()) return Fail(loaded.status());
     owned.emplace(std::move(loaded).value());
-    catalog = &*owned;
   }
-  Schema& schema = catalog->schema();
+  // The catalog ops read. Every logged mutation replaces the durable tip, so
+  // it is looked up afresh rather than held across ops.
+  auto catalog = [&]() -> const Catalog& {
+    return db.has_value() ? db->catalog() : *owned;
+  };
+  auto schema = [&]() -> const Schema& { return catalog().schema(); };
 
   if (ops.empty()) {
-    std::cout << "OK: " << schema.types().NumTypes() << " types, "
-              << schema.types().NumAttributes() << " attributes, "
-              << schema.NumGenericFunctions() << " generic functions, "
-              << schema.NumMethods() << " methods, "
-              << catalog->views().size() << " views\n";
+    std::cout << "OK: " << schema().types().NumTypes() << " types, "
+              << schema().types().NumAttributes() << " attributes, "
+              << schema().NumGenericFunctions() << " generic functions, "
+              << schema().NumMethods() << " methods, "
+              << catalog().views().size() << " views\n";
     if (db.has_value()) {
       const storage::RecoveryInfo& rec = db->recovery();
       std::cout << "db: last lsn " << db->last_lsn() << ", "
@@ -368,27 +370,27 @@ int RunOps(const std::string& schema_path, const std::string& db_dir,
       // rolls the schema back whether or not the verifier runs.
       projection_options.verify = false;
     } else if (flag == "--print") {
-      std::cout << PrintHierarchy(schema.types());
+      std::cout << PrintHierarchy(schema().types());
     } else if (flag == "--methods") {
-      std::cout << PrintAllMethods(schema);
+      std::cout << PrintAllMethods(schema());
     } else if (flag == "--dot") {
-      std::cout << ToDot(schema.types());
+      std::cout << ToDot(schema().types());
     } else if (flag == "--stats") {
-      std::cout << HierarchyStatsToString(AnalyzeHierarchy(schema.types()));
-      std::vector<TypeId> non_c3 = TypesWithoutC3Order(schema.types());
+      std::cout << HierarchyStatsToString(AnalyzeHierarchy(schema().types()));
+      std::vector<TypeId> non_c3 = TypesWithoutC3Order(schema().types());
       if (!non_c3.empty()) {
         std::cout << "types without a C3 order:";
         for (TypeId t : non_c3) {
-          std::cout << " " << schema.types().TypeName(t);
+          std::cout << " " << schema().types().TypeName(t);
         }
         std::cout << "\n";
       }
     } else if (flag == "--lint") {
-      std::vector<ConsistencyIssue> issues = CheckMethodConsistency(schema);
+      std::vector<ConsistencyIssue> issues = CheckMethodConsistency(schema());
       if (issues.empty()) {
         std::cout << "lint: no multi-method consistency issues\n";
       } else {
-        std::cout << ConsistencyReport(schema, issues);
+        std::cout << ConsistencyReport(schema(), issues);
       }
     } else if (flag == "--project") {
       if (i + 3 >= ops.size()) return Usage();
@@ -399,13 +401,13 @@ int RunOps(const std::string& schema_path, const std::string& db_dir,
         Result<const ViewDef*> result =
             db->DefineProjectionView(view, source, attrs, projection_options);
         if (!result.ok()) return FailDb(db, result.status());
-        PrintApplicable(schema, view,
+        PrintApplicable(schema(), view,
                         (*result)->derivation.applicability.applicable);
       } else {
         Result<DerivationResult> result = DeriveProjectionByName(
-            schema, source, attrs, view, projection_options);
+            owned->schema(), source, attrs, view, projection_options);
         if (!result.ok()) return Fail(result.status());
-        PrintApplicable(schema, view, result->applicability.applicable);
+        PrintApplicable(schema(), view, result->applicability.applicable);
       }
     } else if (flag == "--batch") {
       if (i + 1 >= ops.size()) return Usage();
@@ -416,8 +418,8 @@ int RunOps(const std::string& schema_path, const std::string& db_dir,
       if (db.has_value()) {
         failed = RunBatchDurable(*db, *lines, projection_options, jobs);
       } else {
-        Result<size_t> in_memory = RunBatchInMemory(schema, *lines, path, jobs,
-                                                    projection_options);
+        Result<size_t> in_memory = RunBatchInMemory(
+            owned->schema(), *lines, path, jobs, projection_options);
         if (!in_memory.ok()) return Fail(in_memory.status());
         failed = *in_memory;
       }
@@ -428,12 +430,12 @@ int RunOps(const std::string& schema_path, const std::string& db_dir,
       if (i + 1 >= ops.size()) return Usage();
       std::string view = ops[++i];
       Status dropped =
-          db.has_value() ? db->DropView(view) : catalog->DropView(view);
+          db.has_value() ? db->DropView(view) : owned->DropView(view);
       if (!dropped.ok()) return FailDb(db, dropped);
       std::cout << "dropped " << view << "\n";
     } else if (flag == "--collapse") {
       Result<CollapseReport> report =
-          db.has_value() ? db->Collapse() : catalog->Collapse();
+          db.has_value() ? db->Collapse() : owned->Collapse();
       if (!report.ok()) return FailDb(db, report.status());
       std::cout << "collapsed " << report->collapsed.size()
                 << " empty surrogates\n";
@@ -474,9 +476,9 @@ int RunOps(const std::string& schema_path, const std::string& db_dir,
 #endif
       if (db->degraded()) exit_code = 3;
     } else if (flag == "--serialize") {
-      std::cout << SerializeSchema(schema);
+      std::cout << SerializeSchema(schema());
     } else if (flag == "--export") {
-      Result<std::string> tdl = ExportTdl(*catalog);
+      Result<std::string> tdl = ExportTdl(catalog());
       if (!tdl.ok()) return Fail(tdl.status());
       std::cout << *tdl;
     } else {
