@@ -336,9 +336,11 @@ TEST_F(DegradedModeTest, ReopenWithQueuedCommittersAcksOrNacksEveryWaiter) {
   int degrade_cycles = 0;
   while (workers_left.load() > 0) {
     failpoint::Activate("storage.env.sync", 1);
-    while (!db->degraded() && workers_left.load() > 0)
+    // degraded_now(), not degraded(): the committers write the degraded
+    // status concurrently with this poll.
+    while (!db->degraded_now() && workers_left.load() > 0)
       std::this_thread::yield();
-    if (db->degraded()) {
+    if (db->degraded_now()) {
       ++degrade_cycles;
       // The one-shot fault may already be consumed, but Reopen's own
       // recovery I/O can still fail for other reasons; retry until clean.
