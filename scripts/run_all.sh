@@ -101,6 +101,20 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# configure DIR [cmake args...]: a new build dir gets the Ninja generator when
+# ninja is on PATH; an existing one keeps the generator it was configured
+# with (cmake refuses to switch), e.g. the Makefile build/ of the tier-1
+# command.
+configure() {
+  local dir="$1"
+  shift
+  if [ ! -f "$dir/CMakeCache.txt" ] && command -v ninja >/dev/null 2>&1; then
+    cmake -B "$dir" -G Ninja "$@"
+  else
+    cmake -B "$dir" "$@"
+  fi
+}
+
 MODE=all
 if [ "${1:-}" = "bench" ]; then
   MODE=bench
@@ -139,7 +153,7 @@ fi
 
 if [ "$MODE" = "asan" ]; then
   BUILD="${1:-build-asan}"
-  cmake -B "$BUILD" -G Ninja -DTYDER_SANITIZE=address,undefined
+  configure "$BUILD" -DTYDER_SANITIZE=address,undefined
   cmake --build "$BUILD"
   echo "=== tests (ASan+UBSan) ==="
   ctest --test-dir "$BUILD" --output-on-failure
@@ -149,7 +163,7 @@ fi
 
 if [ "$MODE" = "tsan" ]; then
   BUILD="${1:-build-tsan}"
-  cmake -B "$BUILD" -G Ninja -DTYDER_SANITIZE=thread
+  configure "$BUILD" -DTYDER_SANITIZE=thread
   cmake --build "$BUILD"
   echo "=== tests (TSan) ==="
   ctest --test-dir "$BUILD" --output-on-failure \
@@ -162,7 +176,7 @@ if [ "$MODE" = "serve" ]; then
   SECONDS_BUDGET="${1:-30}"
   BUILD="${2:-build}"
   TSAN_BUILD="${3:-build-tsan}"
-  cmake -B "$BUILD" -G Ninja
+  configure "$BUILD"
   cmake --build "$BUILD"
   echo "=== net unit + fault-matrix suites ==="
   ctest --test-dir "$BUILD" --output-on-failure \
@@ -219,7 +233,7 @@ if [ "$MODE" = "serve" ]; then
   }
   rm -rf "$(dirname "$DB")" "$DAEMON_LOG"
   echo "=== net concurrency suites (TSan) ==="
-  cmake -B "$TSAN_BUILD" -G Ninja -DTYDER_SANITIZE=thread
+  configure "$TSAN_BUILD" -DTYDER_SANITIZE=thread
   cmake --build "$TSAN_BUILD"
   ctest --test-dir "$TSAN_BUILD" --output-on-failure \
     -R 'ServerTest|NetFaultMatrix|ChaosTest'
@@ -239,7 +253,7 @@ if [ "$MODE" = "scenarios" ]; then
     BUILD="${1:-build}"
     OUT_DIR="${2:-}"
   fi
-  cmake -B "$BUILD" -G Ninja
+  configure "$BUILD"
   cmake --build "$BUILD"
   WORKLOAD="$BUILD/tools/tyder_workload"
 
@@ -369,7 +383,7 @@ fi
 if [ "$MODE" = "epoch" ]; then
   SECONDS_BUDGET="${1:-30}"
   BUILD="${2:-build-tsan}"
-  cmake -B "$BUILD" -G Ninja -DTYDER_SANITIZE=thread
+  configure "$BUILD" -DTYDER_SANITIZE=thread
   cmake --build "$BUILD"
   echo "=== epoch lifecycle + churn stress (TSan) ==="
   ctest --test-dir "$BUILD" --output-on-failure -R 'EpochCatalog|OracleStress'
@@ -383,7 +397,7 @@ fi
 
 if [ "$MODE" = "ubsan" ]; then
   BUILD="${1:-build-ubsan}"
-  cmake -B "$BUILD" -G Ninja -DTYDER_SANITIZE=undefined
+  configure "$BUILD" -DTYDER_SANITIZE=undefined
   cmake --build "$BUILD"
   echo "=== tests (UBSan) ==="
   ctest --test-dir "$BUILD" --output-on-failure
@@ -393,7 +407,7 @@ fi
 
 if [ "$MODE" = "crash" ]; then
   BUILD="${1:-build}"
-  cmake -B "$BUILD" -G Ninja
+  configure "$BUILD"
   cmake --build "$BUILD"
   echo "=== in-process crash matrix ==="
   ctest --test-dir "$BUILD" --output-on-failure \
@@ -457,7 +471,7 @@ fi
 if [ "$MODE" = "iofault" ]; then
   SECONDS_BUDGET="${1:-60}"
   BUILD="${2:-build}"
-  cmake -B "$BUILD" -G Ninja
+  configure "$BUILD"
   cmake --build "$BUILD"
   echo "=== Env contract + degraded mode + I/O fault matrix ==="
   ctest --test-dir "$BUILD" --output-on-failure \
@@ -493,7 +507,7 @@ fi
 if [ "$MODE" = "fuzz" ]; then
   SECONDS_BUDGET="${1:-30}"
   BUILD="${2:-build}"
-  cmake -B "$BUILD" -G Ninja
+  configure "$BUILD"
   cmake --build "$BUILD"
   echo "=== corpus replay ==="
   ctest --test-dir "$BUILD" --output-on-failure -R 'FuzzCorpus'
@@ -507,7 +521,7 @@ if [ "$MODE" = "obs" ]; then
   BUILD="${1:-build}"
   OFF_BUILD="${2:-build-obs-off}"
   echo "=== TYDER_OBS=OFF build ==="
-  cmake -B "$OFF_BUILD" -G Ninja -DTYDER_OBS=OFF
+  configure "$OFF_BUILD" -DTYDER_OBS=OFF
   cmake --build "$OFF_BUILD" --target tyderc bench_obs
   # The OFF build must really compile the metrics layer out: tyderc keeps
   # the tracer (available in both modes) but must reference no counters,
@@ -519,7 +533,7 @@ if [ "$MODE" = "obs" ]; then
   fi
   echo "no observability symbols in OFF tyderc"
   echo "=== TYDER_OBS=ON build ==="
-  cmake -B "$BUILD" -G Ninja
+  configure "$BUILD"
   cmake --build "$BUILD" --target bench_obs
   # Overhead gate: the hot-path benches bench_obs builds in BOTH modes must
   # cost at most 5% more with the instrumentation on. The ON-only micro
@@ -581,7 +595,7 @@ fi
 BUILD="${1:-build}"
 BENCH_OUT="${2:-BENCH_baseline.json}"
 
-cmake -B "$BUILD" -G Ninja
+configure "$BUILD"
 cmake --build "$BUILD"
 
 run_bench_mode() {

@@ -104,10 +104,13 @@ class Catalog {
 // One catalog mutation by clone-and-swap. The constructor clones `source`
 // once; the operations (same contracts as Catalog's) apply in place to that
 // clone and verify against `source`, which must stay unmodified for the
-// draft's lifetime. A failed operation leaves the draft half-mutated: drop
-// it. Commit() moves the mutated catalog out, never copying it — Catalog
-// moves it back over `source`, DurableCatalog publishes it as its new tip.
-// The returned ViewDef pointers stay valid across Commit().
+// draft's lifetime. A draft may take several operations in a row, as WAL
+// replay does, but an operation that verifies (a derivation with
+// ProjectionOptions::verify) must be its first. A failed operation leaves
+// the draft half-mutated: drop it. Commit() moves the mutated catalog out,
+// never copying it — Catalog moves it back over `source`, DurableCatalog
+// publishes it as its new tip. The returned ViewDef pointer of the last
+// operation stays valid across Commit().
 class CatalogDraft {
  public:
   explicit CatalogDraft(const Catalog& source);

@@ -10,8 +10,11 @@
 //
 // Operations built from others (a Catalog view definition deriving a
 // projection) open one transaction and hand it to their steps, which mutate
-// its draft in place. A step that compares against before() must run before
-// any other step has mutated the draft.
+// its draft in place. A step that compares against before() (a verified
+// derivation) must run before any other step has mutated the draft. Steps
+// that do not compare may follow one another on one draft for as long as
+// the caller likes: WAL recovery replays each run of such records into one
+// transaction.
 //
 // The durable catalog (storage/durable_catalog.h) drafts on a clone of its
 // tip and publishes the committed draft by pointer as the new tip and schema

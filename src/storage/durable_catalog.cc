@@ -53,12 +53,31 @@ std::string VerifyFlag(const ProjectionOptions& options) {
   return options.verify ? "verify" : "no-verify";
 }
 
-}  // namespace
+// One WAL record payload, parsed: the op and its arguments as logged.
+struct WalOp {
+  enum class Kind { kProject, kSelect, kGeneralize, kRename, kDrop, kCollapse };
+  Kind kind;
+  std::string view;
+  std::string source;   // generalize: the first type
+  std::string source2;  // generalize: the second type
+  std::vector<std::string> attributes;   // project
+  std::vector<AttributeRename> renames;  // rename
+  ProjectionOptions options;             // project, generalize, rename
 
-Status ReplayOp(Catalog& catalog, std::string_view payload) {
+  // A derivation logged with the verify flag re-runs the verifier on
+  // replay, which compares the draft against its before-image: it must be
+  // the first step of a fresh draft.
+  bool Reverifies() const {
+    return (kind == Kind::kProject || kind == Kind::kGeneralize ||
+            kind == Kind::kRename) &&
+           options.verify;
+  }
+};
+
+Result<WalOp> ParseWalOp(std::string_view payload) {
   std::istringstream in{std::string(payload)};
-  std::string op;
-  in >> op;
+  std::string op_name;
+  in >> op_name;
   auto bad = [&payload]() {
     return Status::ParseError("malformed WAL op '" + std::string(payload) +
                               "'");
@@ -76,64 +95,73 @@ Status ReplayOp(Catalog& catalog, std::string_view payload) {
     return true;
   };
 
-  if (op == "project") {
-    std::string view, source, attrs;
-    in >> view >> source >> attrs;
-    ProjectionOptions options;
-    if (in.fail() || !parse_options(options)) return bad();
-    std::vector<std::string> names =
-        attrs == "-" ? std::vector<std::string>{} : SplitAndTrim(attrs, ',');
-    Result<const ViewDef*> r =
-        catalog.DefineProjectionView(view, source, names, options);
-    return r.ok() ? Status::OK() : r.status();
-  }
-  if (op == "select") {
-    std::string view, source;
-    in >> view >> source;
+  WalOp op;
+  if (op_name == "project") {
+    op.kind = WalOp::Kind::kProject;
+    std::string attrs;
+    in >> op.view >> op.source >> attrs;
+    if (in.fail() || !parse_options(op.options)) return bad();
+    if (attrs != "-") op.attributes = SplitAndTrim(attrs, ',');
+  } else if (op_name == "select") {
+    op.kind = WalOp::Kind::kSelect;
+    in >> op.view >> op.source;
     if (in.fail()) return bad();
-    Result<const ViewDef*> r = catalog.DefineSelectionView(view, source);
-    return r.ok() ? Status::OK() : r.status();
-  }
-  if (op == "generalize") {
-    std::string view, a, b;
-    in >> view >> a >> b;
-    ProjectionOptions options;
-    if (in.fail() || !parse_options(options)) return bad();
-    Result<const ViewDef*> r =
-        catalog.DefineGeneralizationView(view, a, b, options);
-    return r.ok() ? Status::OK() : r.status();
-  }
-  if (op == "rename") {
-    std::string view, source, pairs;
-    in >> view >> source >> pairs;
-    ProjectionOptions options;
-    if (in.fail() || !parse_options(options)) return bad();
-    std::vector<AttributeRename> renames;
+  } else if (op_name == "generalize") {
+    op.kind = WalOp::Kind::kGeneralize;
+    in >> op.view >> op.source >> op.source2;
+    if (in.fail() || !parse_options(op.options)) return bad();
+  } else if (op_name == "rename") {
+    op.kind = WalOp::Kind::kRename;
+    std::string pairs;
+    in >> op.view >> op.source >> pairs;
+    if (in.fail() || !parse_options(op.options)) return bad();
     if (pairs != "-") {
       for (const std::string& pair : SplitAndTrim(pairs, ',')) {
         size_t eq = pair.find('=');
         if (eq == std::string::npos) return bad();
-        renames.push_back(
+        op.renames.push_back(
             AttributeRename{pair.substr(0, eq), pair.substr(eq + 1)});
       }
     }
-    Result<const ViewDef*> r =
-        catalog.DefineRenameView(view, source, renames, options);
-    return r.ok() ? Status::OK() : r.status();
-  }
-  if (op == "drop") {
-    std::string view;
-    in >> view;
+  } else if (op_name == "drop") {
+    op.kind = WalOp::Kind::kDrop;
+    in >> op.view;
     if (in.fail()) return bad();
-    return catalog.DropView(view);
+  } else if (op_name == "collapse") {
+    op.kind = WalOp::Kind::kCollapse;
+  } else {
+    return Status::ParseError("unknown WAL op '" + op_name + "' in record '" +
+                              std::string(payload) + "'");
   }
-  if (op == "collapse") {
-    Result<CollapseReport> r = catalog.Collapse();
-    return r.ok() ? Status::OK() : r.status();
-  }
-  return Status::ParseError("unknown WAL op '" + op + "' in record '" +
-                            std::string(payload) + "'");
+  return op;
 }
+
+// Applies one parsed record to `draft` without logging (recovery replay).
+Status ReplayOp(CatalogDraft& draft, const WalOp& op) {
+  switch (op.kind) {
+    case WalOp::Kind::kProject:
+      return draft
+          .DefineProjectionView(op.view, op.source, op.attributes, op.options)
+          .status();
+    case WalOp::Kind::kSelect:
+      return draft.DefineSelectionView(op.view, op.source).status();
+    case WalOp::Kind::kGeneralize:
+      return draft
+          .DefineGeneralizationView(op.view, op.source, op.source2, op.options)
+          .status();
+    case WalOp::Kind::kRename:
+      return draft
+          .DefineRenameView(op.view, op.source, op.renames, op.options)
+          .status();
+    case WalOp::Kind::kDrop:
+      return draft.DropView(op.view);
+    case WalOp::Kind::kCollapse:
+      return draft.Collapse().status();
+  }
+  return Status::Internal("unhandled WAL op");
+}
+
+}  // namespace
 
 Result<DurableCatalog> DurableCatalog::Open(const std::string& dir, Env* env,
                                             GroupCommitOptions group) {
@@ -203,10 +231,27 @@ Result<DurableCatalog> DurableCatalog::Open(const std::string& dir, Env* env,
 
   // 3. Replay everything the snapshot does not already cover. (Records at or
   // below the snapshot lsn are left over from a crash between a compaction's
-  // snapshot rename and its WAL truncate.)
+  // snapshot rename and its WAL truncate.) The catalog being rebuilt is
+  // private until Open returns and is dropped whole on any failure, so a
+  // record needs a clone of its own only for the verifier's before-image:
+  // each run of records that do not re-verify shares one draft, and each
+  // re-verified derivation gets a fresh draft of the state just before it.
+  std::optional<CatalogDraft> draft;
+  auto commit_draft = [&] {
+    if (!draft.has_value()) return;
+    *recovered = draft->Commit();
+    draft.reset();
+  };
   for (const WalRecord& record : wal->records) {
     if (record.lsn <= snapshot_lsn) continue;
-    Status replayed = ReplayOp(*recovered, record.payload);
+    Result<WalOp> op = ParseWalOp(record.payload);
+    Status replayed = op.status();
+    if (op.ok()) {
+      if (op->Reverifies()) commit_draft();
+      if (!draft.has_value()) draft.emplace(*recovered);
+      replayed = ReplayOp(*draft, *op);
+      if (replayed.ok() && op->Reverifies()) commit_draft();
+    }
     if (!replayed.ok()) {
       return Status::Internal(
           "WAL replay failed at lsn " + std::to_string(record.lsn) + " ('" +
@@ -216,6 +261,7 @@ Result<DurableCatalog> DurableCatalog::Open(const std::string& dir, Env* env,
     recovered_lsn = record.lsn;
     ++db.recovery_.replayed_records;
   }
+  commit_draft();
 
   Result<WalWriter> writer = WalWriter::Open(db.wal_path_, db.env_);
   if (!writer.ok()) return writer.status();

@@ -62,8 +62,12 @@
 // fatal only when no snapshot loads at all. The WAL is then validated and
 // replayed: a torn tail (crash mid-append) is truncated with a warning and
 // never an error; mid-log corruption is refused with a byte-offset
-// diagnostic. Recovery always yields a catalog byte-identical to the state
-// either before or after the interrupted mutation — never in between.
+// diagnostic. Replay applies each run of records that the verifier does not
+// re-check to one CatalogDraft (one clone), and each derivation logged with
+// `verify` to a fresh draft of the state just before it; a record that fails
+// fails Open with its lsn. Recovery always yields a catalog byte-identical
+// to the state either before or after the interrupted mutation — never in
+// between.
 //
 // Crash-injection points: storage.wal.* (wal.h), storage.env.* (env.h),
 // plus storage.compact.before_rename / storage.compact.after_rename.
@@ -243,10 +247,6 @@ class DurableCatalog {
   RecoveryInfo recovery_;
   Status degraded_;  // non-OK == read-only degraded mode
 };
-
-// Applies one WAL payload to `catalog` without logging (recovery replay).
-// Exposed for tests.
-Status ReplayOp(Catalog& catalog, std::string_view payload);
 
 }  // namespace tyder::storage
 

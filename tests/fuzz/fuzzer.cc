@@ -37,7 +37,10 @@ namespace {
 // ---------------------------------------------------------------------------
 
 struct ModelType {
-  std::vector<std::string> supers;  // direct supertypes, addition order
+  // Supertypes, addition order. A view starts with the nearest tracked types
+  // its engine type reaches through untracked surrogates when it is derived:
+  // FactorState's surrogate reuse can hang a new view off an earlier one.
+  std::vector<std::string> supers;
   // Derivation-implied edges: the projection operation makes the source a
   // subtype of the derived view (the view is more general), so a supertype
   // the view acquires later flows down into the source's cumulative state.
@@ -264,11 +267,30 @@ class TraceRunner {
     return Status::OK();
   }
 
+  // Call with the derivation committed to catalog_.
   void ApplyDeriveToModel(const std::string& vname, const std::string& src,
                           std::set<std::string> attr_set) {
     ModelType mt;
     mt.is_view = true;
     mt.view_attrs = std::move(attr_set);
+    // Walk the engine's supertypes up to the first tracked type on each
+    // path; the model takes it from there.
+    const TypeGraph& graph = catalog_.schema().types();
+    std::vector<TypeId> queue{*graph.FindType(vname)};
+    std::set<TypeId> seen(queue.begin(), queue.end());
+    while (!queue.empty()) {
+      TypeId t = queue.back();
+      queue.pop_back();
+      for (TypeId super : graph.type(t).supertypes()) {
+        if (!seen.insert(super).second) continue;
+        const std::string& name = graph.TypeName(super);
+        if (model_.types.count(name) > 0) {
+          mt.supers.push_back(name);
+        } else {
+          queue.push_back(super);
+        }
+      }
+    }
     model_.types[vname] = std::move(mt);
     model_.view_order.push_back(vname);
     model_.types[src].view_supers.push_back(vname);

@@ -3,6 +3,8 @@
 // clones the tip exactly once whether it is accepted or refused, publishing
 // hands the committed clone over by pointer, a failed commit re-points the
 // tip without copying, and a nested derivation reuses its caller's clone.
+// Recovery clones once per verified derivation and once per run of other
+// records between them.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +19,7 @@
 #include "obs/obs.h"
 #include "storage/catalog_snapshot.h"
 #include "storage/durable_catalog.h"
+#include "storage/wal.h"
 #include "testing/fixtures.h"
 
 #if TYDER_OBS_ENABLED
@@ -127,13 +130,129 @@ TEST_F(CloneCountTest, PublishAndRollbackCloneNothing) {
     ASSERT_TRUE(db->DefineSelectionView("S", "Employee").ok());
     ASSERT_TRUE(db->DropView("S").ok());
   }
-  // Recovery replays with at most one clone per record.
+  // Recovery replays both unverified records into one draft.
   uint64_t before = Clones();
   auto reopened = DurableCatalog::Open(dir);
   ASSERT_TRUE(reopened.ok()) << reopened.status();
   EXPECT_EQ(reopened->recovery().replayed_records, 2u);
-  EXPECT_LE(Clones() - before, 2u);
+  EXPECT_EQ(Clones() - before, 1u);
   fs::remove_all(dir);
+}
+
+TEST_F(CloneCountTest, RecoveringUnverifiedRecordsClonesOnce) {
+  std::string dir = FreshDir("unverified");
+  std::string live;
+  {
+    auto db = OpenSeeded(dir);
+    ASSERT_TRUE(db.ok()) << db.status();
+    for (int i = 0; i < 20; ++i) {
+      std::string name = "S" + std::to_string(i);
+      ASSERT_TRUE(db->DefineSelectionView(name, "Employee").ok());
+      ASSERT_TRUE(db->DropView(name).ok());
+    }
+    ASSERT_TRUE(db->DefineSelectionView("Kept", "Person").ok());
+    live = SerializeCatalog(db->catalog());
+  }
+  uint64_t before = Clones();
+  auto reopened = DurableCatalog::Open(dir);
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  EXPECT_EQ(Clones() - before, 1u);
+  EXPECT_EQ(reopened->recovery().replayed_records, 41u);
+  EXPECT_EQ(SerializeCatalog(reopened->catalog()), live);
+  fs::remove_all(dir);
+}
+
+// Writes one WAL record of every kind: select, drop, no-verify projection,
+// drop of that projection view, verified projection, generalization, rename
+// and collapse. Replay takes 3 verified derivations plus 2 runs of other
+// records (lsn 1-4 and lsn 8).
+void WriteMixedWal(DurableCatalog& db) {
+  ProjectionOptions unverified;
+  unverified.verify = false;
+  ASSERT_TRUE(db.DefineSelectionView("S", "Employee").ok());          // lsn 1
+  ASSERT_TRUE(db.DropView("S").ok());                                 // lsn 2
+  ASSERT_TRUE(db.DefineProjectionView("NV", "Employee", {"SSN"},      // lsn 3
+                                      unverified)
+                  .ok());
+  ASSERT_TRUE(db.DropView("NV").ok());                                // lsn 4
+  ASSERT_TRUE(db.DefineProjectionView("V", "Employee", kViewAttrs)    // lsn 5
+                  .ok());
+  ASSERT_TRUE(db.DefineGeneralizationView("G", "Employee", "Person")  // lsn 6
+                  .ok());
+  ASSERT_TRUE(db.DefineRenameView("R", "Employee",                    // lsn 7
+                                  {{"SSN", "ssn_alias"}})
+                  .ok());
+  ASSERT_TRUE(db.Collapse().ok());                                    // lsn 8
+}
+
+TEST_F(CloneCountTest, MixedWalClonesOncePerVerifiedDerivationAndRun) {
+  std::string dir = FreshDir("mixed");
+  std::string live;
+  {
+    auto db = OpenSeeded(dir);
+    ASSERT_TRUE(db.ok()) << db.status();
+    WriteMixedWal(*db);
+    if (HasFatalFailure()) return;
+    live = SerializeCatalog(db->catalog());
+  }
+  {
+    uint64_t before = Clones();
+    auto reopened = DurableCatalog::Open(dir);
+    ASSERT_TRUE(reopened.ok()) << reopened.status();
+    EXPECT_EQ(reopened->recovery().replayed_records, 8u);
+    EXPECT_EQ(Clones() - before, 3u + 2u);
+    EXPECT_EQ(SerializeCatalog(reopened->catalog()), live);
+  }
+
+  // Verified records are re-verified on replay: the first verifier run is
+  // the verified projection at lsn 5, not the no-verify one at lsn 3.
+  failpoint::Activate("verify.force_failure", 1);
+  auto refused = DurableCatalog::Open(dir);
+  failpoint::DeactivateAll();
+  ASSERT_FALSE(refused.ok());
+  EXPECT_NE(refused.status().message().find("WAL replay failed at lsn 5 "),
+            std::string::npos)
+      << refused.status();
+  fs::remove_all(dir);
+}
+
+// A CRC-valid record that fails mid-run fails recovery with its lsn, and a
+// Reopen over it keeps serving the old tip and epoch untouched.
+TEST_F(CloneCountTest, RecordFailingMidRunFailsOpenAndReopenKeepsTip) {
+  std::string dir = FreshDir("midrun");
+  auto db = OpenSeeded(dir);
+  ASSERT_TRUE(db.ok()) << db.status();
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(
+        db->DefineSelectionView("S" + std::to_string(i), "Employee").ok());
+  }
+  ASSERT_EQ(db->last_lsn(), 4u);
+  {
+    auto wal = WalWriter::Open(dir + "/wal.log");
+    ASSERT_TRUE(wal.ok()) << wal.status();
+    ASSERT_TRUE(wal->Append(5, "drop NoSuchView").ok());
+    ASSERT_TRUE(wal->Append(6, "select S9 Employee").ok());
+  }
+  const Catalog* tip = &db->catalog();
+  std::string pre_tip = SerializeCatalog(db->catalog());
+  std::string pre_epoch = SerializeCatalog(*db->PinSnapshot());
+
+  auto opened = DurableCatalog::Open(dir);
+  ASSERT_FALSE(opened.ok());
+  EXPECT_NE(opened.status().message().find(
+                "WAL replay failed at lsn 5 ('drop NoSuchView')"),
+            std::string::npos)
+      << opened.status();
+
+  Status reopened = db->Reopen();
+  ASSERT_FALSE(reopened.ok());
+  EXPECT_NE(reopened.message().find("WAL replay failed at lsn 5"),
+            std::string::npos)
+      << reopened;
+  EXPECT_EQ(&db->catalog(), tip);
+  EXPECT_EQ(SerializeCatalog(db->catalog()), pre_tip);
+  EXPECT_EQ(SerializeCatalog(*db->PinSnapshot()), pre_epoch);
+  EXPECT_EQ(db->last_lsn(), 4u);
 }
 
 TEST_F(CloneCountTest, NestedDerivationReusesTheCallersClone) {
